@@ -4,11 +4,11 @@ Times :func:`repro.sim.hybrid.run_hybrid_simulation` at 100k and 1M
 populations — the regime the per-peer engines cannot reach — and
 derives *peers per second of simulated wall clock* (population over
 elapsed seconds). For context it also times one *full* event-driven
-run at the subswarm scale and extrapolates its per-peer-round cost to
-the same populations: the counterfactual price of simulating every
-peer, a deliberate lower bound (the big-swarm engines scale worse
-than linearly in memory traffic), recorded as
-``extrapolated_full_seconds`` per backend.
+run per backend at the subswarm scale, recorded as wall seconds beside
+the rounds that run lasted. Wall time is not divided by rounds: run
+length depends on the seed (a T-Chain end-game stall idles to the
+round cap), so a per-peer-round quotient would compare different
+amounts of work.
 
 The committed ``BENCH_hybrid.json`` at the repo root is this script's
 output on the reference box and is the acceptance evidence for the
@@ -94,13 +94,9 @@ def time_hybrid(config: SimulationConfig, jobs: Optional[int],
     }
 
 
-def _extrapolate_full_cost(subswarm_size: int, populations,
-                           seed: int) -> Dict[str, Dict[str, float]]:
-    """Per-backend cost of one full run at shard scale, extrapolated.
-
-    Linear in ``users * rounds`` — a lower bound on what a real
-    population-size swarm would cost per-peer.
-    """
+def _time_full_runs(subswarm_size: int,
+                    seed: int) -> Dict[str, Dict[str, float]]:
+    """Wall time of one full run at shard scale, per backend."""
     out: Dict[str, Dict[str, float]] = {}
     for backend in ("object", "vector-fast"):
         config = SimulationConfig(
@@ -111,17 +107,13 @@ def _extrapolate_full_cost(subswarm_size: int, populations,
         start = time.perf_counter()
         metrics = run_simulation(config).metrics
         elapsed = time.perf_counter() - start
-        per_peer_round = elapsed / (subswarm_size * max(metrics.rounds_run, 1))
         out[backend] = {
             "measured_users": subswarm_size,
             "measured_seconds": elapsed,
-            "seconds_per_peer_round": per_peer_round,
-            "extrapolated_full_seconds": {
-                label: per_peer_round * population * metrics.rounds_run
-                for label, population in populations.items()},
+            "rounds_run": metrics.rounds_run,
         }
         print(f"  full {backend:12s} {subswarm_size} users: "
-              f"{elapsed:.2f}s", flush=True)
+              f"{elapsed:.2f}s, {metrics.rounds_run} rounds", flush=True)
     return out
 
 
@@ -158,11 +150,8 @@ def run_bench(scales, seed: int, jobs: Optional[int]) -> dict:
                   f"({timing['population_peers_per_second']:,.0f} "
                   "peers/s)", flush=True)
         result["scales"][label] = entry
-    populations = {label: population
-                   for label, population, _, _ in scales}
     smallest = min(s[3] for s in scales)
-    result["full_run_extrapolation"] = _extrapolate_full_cost(
-        smallest, populations, seed)
+    result["full_runs"] = _time_full_runs(smallest, seed)
     return result
 
 

@@ -8,8 +8,8 @@ hybrid engine (`repro.sim.hybrid`, docs/SCALING.md): 16 sampled
 event-driven subswarms of 1000 peers on the vector-fast backend,
 coupled at round boundaries through a Qiu-Srikant fluid aggregate and
 scaled back up by shard weight — so each mechanism's population run
-takes seconds, not the ~17 CPU-minutes a full vector-fast swarm would
-extrapolate to (and could not hold in memory anyway).
+takes seconds, where a full per-peer swarm of a million could not
+even be held in memory.
 
 The output table is Figure 4 read at population scale: altruism
 completes fastest, the fair hybrids (T-Chain, FairTorrent) trade a

@@ -23,8 +23,15 @@ engines flush queued reports at the same round boundary, so staleness
 is part of the shared draw sequence, not a divergence).
 
 A kernel is called as ``kernel(sim, s, rng)`` with the simulation, the
-acting peer's slot, and that peer's private strategy stream. Kernels
-for ledger-based strategies read the per-slot pairwise ledgers
+acting peer's slot, and that peer's private strategy stream. It
+returns ``True`` only to put the peer to sleep: the turn did nothing
+and nothing but a wake event (a piece arriving, a key unlocking, a
+view change) can change that, so the engine skips the peer's turns
+until one happens and then catches up its credit exactly (see
+``VectorSimulation._on_round``). Only :func:`run_reciprocity` does so;
+every other kernel returns ``None``, meaning "call me next round".
+
+Kernels for ledger-based strategies read the per-slot pairwise ledgers
 (``sim.rcv_d`` / ``sim.upl_d`` dicts, ``sim.D`` deficit matrix);
 :data:`RECEIVED_ALGORITHMS` / :data:`DEFICIT_ALGORITHMS` /
 :data:`RECEIPT_ALGORITHMS` tell the engine which ledgers a run needs
@@ -95,7 +102,7 @@ def run_spray(sim: "VectorSimulation", s: int, rng: random.Random) -> None:
 
 
 def run_reciprocity(sim: "VectorSimulation", s: int,
-                    rng: random.Random) -> None:
+                    rng: random.Random) -> bool:
     """Pure direct reciprocity: repay the largest creditor. No RNG.
 
     The engine maintains ``sim.cred[s]`` — counterparties whose
@@ -104,16 +111,26 @@ def run_reciprocity(sim: "VectorSimulation", s: int,
     interest instead of running the full needy-pool query. The
     strategy draws no randomness, so skipping discovery entirely on
     creditor-less turns is draw-equivalent.
+
+    Returns ``True`` (dormant) when the turn ends for lack of pieces,
+    creditors, view, or a needy in-view creditor: each of those can
+    only change when this peer receives a piece (which also adds
+    creditors) or its view changes — both wake events. Creditors'
+    needs only shrink in between: ``held`` grows, and only T-Chain
+    ever drops a held piece. An exhausted budget or a failed send
+    returns ``False``.
     """
+    if sim.cnt[s] == 0:
+        return True
     budget = sim.budgets[s]
-    if sim.cnt[s] == 0 or not budget.can_send():
-        return
+    if not budget.can_send():
+        return False
     cred = sim.cred[s]
     if not cred:
-        return
+        return True
     vs = sim.vset.get(sim.ids[s])
     if not vs:
-        return
+        return True
     members = sim.members
     rcv = sim.rcv_d[s]
     held = sim.held
@@ -130,9 +147,10 @@ def run_reciprocity(sim: "VectorSimulation", s: int,
                     best_r = r
                     best_pid = pid
         if best_pid < 0:
-            return
+            return True
         if not sim._plain_send(s, best_pid):
-            return
+            return False
+    return False
 
 
 def run_fairtorrent(sim: "VectorSimulation", s: int,

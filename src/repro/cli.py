@@ -269,8 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     agent = sub.add_parser(
         "agent", help="run a distributed-sweep runner agent (see "
                       "sweep --hosts)")
-    agent.add_argument("--bind", default="0.0.0.0", metavar="ADDR",
-                       help="address to listen on (default 0.0.0.0)")
+    agent.add_argument("--bind", default="127.0.0.1", metavar="ADDR",
+                       help="address to listen on (default 127.0.0.1, "
+                            "this host only). The agent unpickles every "
+                            "frame it receives, so anyone who can reach "
+                            "the port can run code as the agent: pass "
+                            "--bind 0.0.0.0 only on a trusted network")
     agent.add_argument("--port", type=int, default=7071,
                        help="port to listen on (default 7071; 0 lets "
                             "the OS pick)")

@@ -65,7 +65,19 @@ class UploadBudget:
 
     def new_round(self) -> int:
         """Accrue one round of capacity; return whole pieces available."""
-        num = self._credits_num + self._num
+        return self.accrue(1)
+
+    def accrue(self, rounds: int) -> int:
+        """Accrue ``rounds`` rounds of capacity at once; return whole
+        pieces available.
+
+        Capped accrual is monotone and credits never exceed the cap, so
+        ``min(cap, credits + rounds * capacity)`` equals ``rounds``
+        successive :meth:`new_round` calls with nothing spent between
+        them — the array engines use it to catch up a peer that skipped
+        its idle turns.
+        """
+        num = self._credits_num + rounds * self._num
         self._credits_num = num if num < self._cap_num else self._cap_num
         return self._credits_num // self._den
 

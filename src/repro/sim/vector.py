@@ -290,6 +290,15 @@ class VectorSimulation:
         self.lineage: List[int] = [0] * n_slots
         self.srng: List[random.Random] = [None] * n_slots  # type: ignore
         self.kern: List[object] = [None] * n_slots
+        #: Dormancy (see ``_on_round``): 0 while a peer takes its turns;
+        #: the round of its last turn, ``r``, once its kernel reported
+        #: that only a wake event can give it work; ``-r`` once woken,
+        #: until its next turn catches up the credit it skipped.
+        self._slept: List[int] = [0] * n_slots
+        #: False until some peer first sleeps: until then no view
+        #: change has anyone to wake, which keeps the per-edge wake off
+        #: the arrival path of mechanisms that never sleep.
+        self._any_slept = False
         #: Held-or-pending bitmask rows as uint64 words, for batched
         #: "who needs what I have" queries over neighbor slot arrays.
         #: The backing store is an ``array.array`` with the numpy
@@ -542,6 +551,12 @@ class VectorSimulation:
             if largev[os_] and q != pid:
                 self._connect(pid, q)
 
+    def _wake(self, s: int) -> None:
+        """End slot ``s``'s dormancy: its next turn runs its kernel."""
+        z = self._slept[s]
+        if z > 0:
+            self._slept[s] = -z
+
     def _connect(self, a: int, b: int) -> None:
         va = self.vset.get(a)
         if va is None:
@@ -549,18 +564,29 @@ class VectorSimulation:
         if b not in va:
             va.add(b)
             self.varr.pop(a, None)
+            if self._any_slept:
+                self._wake(self.members[a])
         vb = self.vset.get(b)
         if vb is None:
             vb = self.vset[b] = set()
         if a not in vb:
             vb.add(a)
             self.varr.pop(b, None)
+            if self._any_slept:
+                self._wake(self.members[b])
 
     def _disconnect_all(self, pid: int) -> None:
-        for nb in self.vset.pop(pid, set()):
+        neighbors = self.vset.pop(pid, set())
+        for nb in neighbors:
             self.vset[nb].discard(pid)
             self.varr.pop(nb, None)
         self.varr.pop(pid, None)
+        if self._any_slept:
+            for nb in neighbors:
+                self._wake(self.members[nb])
+            # ``pid`` has already left ``members`` (departure or
+            # whitewash); its slot mapping outlives the id.
+            self._wake(int(self.slot_np[pid]))
 
     def _view(self, pid: int) -> Tuple[np.ndarray, np.ndarray, list, list]:
         """Sorted view-member ids and slots, as arrays and as lists.
@@ -738,6 +764,7 @@ class VectorSimulation:
             self.collector.record_lost_transfer()
             self._lost.add((self.lineage[ts], piece))
             return False
+        self._wake(ts)
         self.up[u] += 1
         from_seeder = self.seeder[u]
         if not from_seeder:
@@ -865,6 +892,7 @@ class VectorSimulation:
     def _unlock(self, s: int, piece: int) -> None:
         """Key released: pending piece becomes usable (runner._unlock)."""
         self._pop_pending(s, piece)
+        self._wake(s)
         # The held bit (and its W mirror) stays set; only usable gains.
         self.usable[s] |= 1 << piece
         self._UWf[s * self._n_words + (piece >> 6)] |= 1 << (piece & 63)
@@ -929,6 +957,7 @@ class VectorSimulation:
             self.collector.record_lost_transfer()
             self._lost.add((self.lineage[ts], piece))
             return False
+        self._wake(ts)
         uid = self.ids[u]
         self.up[u] += 1
         if not from_seeder:
@@ -1121,6 +1150,19 @@ class VectorSimulation:
         return active
 
     def _on_round(self) -> None:
+        """One round: round-start faults, every active peer's turn in
+        shuffled order, then the end-of-round phases.
+
+        A kernel that returns ``True`` has done nothing this turn and
+        cannot do anything until a *wake event* (a piece arriving, a
+        key unlocking, or a view change; see ``_wake``). Its peer then
+        sleeps: later turns skip the budget accrual and the kernel call
+        until it is woken, and its next turn accrues every skipped
+        round at once (``UploadBudget.accrue``, exact). Seeders never
+        sleep (their kernel never returns ``True``), so seeder outages
+        need no catch-up. The turn order is still drawn over every
+        active peer, so no random stream moves.
+        """
         self.round_index += 1
         if self._delayed_reports:
             self._flush_due_reports()
@@ -1130,17 +1172,26 @@ class VectorSimulation:
         budgets = self.budgets
         kern = self.kern
         srng = self.srng
+        slept = self._slept
         check_off = self._outage_on
         offline_until = self.offline_until
         r = self.round_index
-        for pid in active:
-            s = members.get(pid)
-            if s is None:
-                continue  # departed earlier this round (unreachable here)
+        # Nobody leaves during the turns (departures, churn, crashes and
+        # whitewashing all run after them), so every id maps to a slot.
+        for s in map(members.__getitem__, active):
             if check_off and offline_until[s] > r:
                 continue  # transient outage: no credit, no sends
-            budgets[s].new_round()
-            kern[s](self, s, srng[s])
+            z = slept[s]
+            if z:
+                if z > 0:
+                    continue  # dormant until woken
+                slept[s] = 0
+                budgets[s].accrue(r + z)  # woken: z is -(last turn)
+            else:
+                budgets[s].accrue(1)
+            if kern[s](self, s, srng[s]):
+                slept[s] = r
+                self._any_slept = True
             self._turn = None
         if self._track_rcv:
             self._roll_receipts()
@@ -1199,11 +1250,18 @@ class VectorSimulation:
                 self.collector.record_orphaned_obligations(len(orphaned))
 
     def _process_departures(self) -> None:
+        # One filtering pass in membership order; a departure changes
+        # no other member's piece count, so filtering up front selects
+        # the same peers as testing each one inside the loop.
+        seeder = self.seeder
+        cnt = self.cnt
+        npieces = self.n_pieces
+        complete = [(pid, s) for pid, s in self.members.items()
+                    if cnt[s] >= npieces and not seeder[s]]
+        if not complete:
+            return
         linger = self.config.seed_linger_rate
-        for pid in list(self.members):
-            s = self.members[pid]
-            if self.seeder[s] or self.cnt[s] < self.n_pieces:
-                continue
+        for pid, s in complete:
             if self.comp[s] is None:
                 self.comp[s] = self.now
                 self.ncomp += 1
@@ -1321,23 +1379,19 @@ class VectorSimulation:
 
     def _sample(self) -> None:
         self._flush_counters()
-        ud_ratios: List[float] = []
-        du_ratios: List[float] = []
-        count = 0
-        members = self.members
-        for pid in self.active:
-            s = members[pid]
-            if self.seeder[s]:
-                continue
-            count += 1
-            if self.free[s]:
-                continue
-            down = self.down[s]
-            upl = self.up[s]
-            if down > 0:
-                ud_ratios.append(upl / down)
-            if upl > 0:
-                du_ratios.append(down / upl)
+        # Filtering passes over the active peers in id order: the ratio
+        # lists, and so their left-to-right sums, are unchanged.
+        seeder = self.seeder
+        free = self.free
+        up = self.up
+        down = self.down
+        users = [s for s in map(self.members.__getitem__, self.active)
+                 if not seeder[s]]
+        count = len(users)
+        compliant = ([s for s in users if not free[s]] if self._coalition
+                     else users)  # the coalition is every free-rider
+        ud_ratios = [up[s] / down[s] for s in compliant if down[s] > 0]
+        du_ratios = [down[s] / up[s] for s in compliant if up[s] > 0]
         fairness_ud = (sum(ud_ratios) / len(ud_ratios)
                        if ud_ratios else None)
         fairness_du = (sum(du_ratios) / len(du_ratios)
@@ -1895,6 +1949,7 @@ class VectorFastSimulation(VectorSimulation):
         pbu = self._pend_by_up
         pend = self.pend
         poldest = self.poldest
+        slept = self._slept
 
         def choose(cand: int) -> Optional[int]:
             if not cand:
@@ -2007,6 +2062,8 @@ class VectorFastSimulation(VectorSimulation):
                 collector.record_lost_transfer()
                 lost.add((lineage[ts], piece))
                 return False
+            if slept[ts] > 0:
+                slept[ts] = -slept[ts]  # _wake, inlined
             up[u] += 1
             from_seeder = seeder[u]
             if not from_seeder:
@@ -2108,6 +2165,8 @@ class VectorFastSimulation(VectorSimulation):
             if entry[2] == poldest[s]:
                 poldest[s] = min((e[2] for e in pd.values()),
                                  default=_NO_PENDING)
+            if slept[s] > 0:
+                slept[s] = -slept[s]
             bit = 1 << piece
             usable[s] |= bit
             c = cnt[s] + 1
@@ -2127,6 +2186,8 @@ class VectorFastSimulation(VectorSimulation):
                 collector.record_lost_transfer()
                 lost.add((lineage[ts], piece))
                 return False
+            if slept[ts] > 0:
+                slept[ts] = -slept[ts]
             uid = ids[u]
             up[u] += 1
             if not from_seeder:

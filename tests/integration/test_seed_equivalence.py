@@ -19,10 +19,13 @@ change legitimately moves these numbers, justify it and re-pin.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.names import ALL_ALGORITHMS, EXTENDED_ALGORITHMS, Algorithm
-from repro.sim.config import SimulationConfig, targeted_attack_for
+from repro.sim.config import (AttackConfig, SimulationConfig,
+                              targeted_attack_for)
 from repro.sim.faults import FaultConfig
 from repro.sim.metrics import metrics_digest
 from repro.sim.runner import run_simulation
@@ -42,6 +45,21 @@ PINNED_DIGESTS = {
         "3ccb6f8d6f0f97a1420991307493aeead0f063b0975de28beaf5db9a4c630b4c",
     Algorithm.ALTRUISM:
         "bcfc8959df9684c708ae52ae852399ce92dc59b427b16b0ceaea858c425e788d",
+}
+
+
+#: ``fast-v1`` lineage pins: the ``vector-fast`` engine has no draw
+#: parity with the object engine, so its own digests are pinned here
+#: (captured before the array engines' dormant turns landed) to catch
+#: any engine change that moves its outcomes. Keyed by the runs in
+#: ``fast_pin_config``.
+FAST_PINNED_DIGESTS = {
+    "reciprocity-whitewash":
+        "e024129e12016384b830963656c0a548db46880b77c1c91e5f184212c8308b1f",
+    "tchain-stall":
+        "f51243609c805749e1add1dab13d5bef6cc83c2d61174fcd4192b3b70219423a",
+    "altruism-all-faults":
+        "1ece6b11f055da7a87bceb3f6b0675b60a1f7ca0754c20dee80cf5324c5aa064",
 }
 
 
@@ -194,3 +212,34 @@ class TestObsPreservesDigests:
         ).with_obs(trace=True, sample_every=1, profile=True)
         metrics = run_simulation(config).metrics
         assert metrics_digest(metrics) == PINNED_DIGESTS[Algorithm.TCHAIN]
+
+
+def fast_pin_config(name: str) -> SimulationConfig:
+    """The ``vector-fast`` runs behind ``FAST_PINNED_DIGESTS``."""
+    if name == "reciprocity-whitewash":
+        # Free-riders whitewashing every 30 rounds; reciprocity leaves
+        # peers unfinished, so the run goes to its round cap.
+        config = replace(equivalence_config(Algorithm.RECIPROCITY),
+                         attack=AttackConfig(whitewash_interval=30))
+    elif name == "tchain-stall":
+        # The T-Chain end-game stall at 200 users: this seed leaves two
+        # peers waiting on keys that are never released until the cap.
+        config = SimulationConfig(
+            algorithm=Algorithm.TCHAIN, n_users=200, n_pieces=64,
+            neighbor_count=40, seeder_capacity=32,
+            flash_crowd_duration=10, max_rounds=600, seed=3)
+    else:
+        config = faulted_config(Algorithm.ALTRUISM, FAULT_AXES["combined"])
+    return config.with_backend("vector-fast")
+
+
+class TestFastLineagePinnedDigests:
+    @pytest.mark.parametrize("name", list(FAST_PINNED_DIGESTS))
+    def test_vector_fast_matches_pinned_digest(self, name):
+        config = fast_pin_config(name)
+        metrics = run_simulation(config).metrics
+        assert metrics.digest_lineage == "fast-v1"
+        assert metrics_digest(metrics) == FAST_PINNED_DIGESTS[name]
+        if name != "altruism-all-faults":
+            # These two are meant to include an idle tail to the cap.
+            assert metrics.rounds_run == config.max_rounds

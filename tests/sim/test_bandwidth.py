@@ -137,3 +137,39 @@ class TestExactAccrual:
             assert credits < 1
             assert not budget.can_send()
         assert budget.total_consumed == consumed
+
+
+
+class TestAccrueCatchUp:
+    """``accrue(k)`` is the array engines' catch-up for a peer that
+    skipped its idle turns: it must leave exactly the credit of ``k``
+    successive ``new_round()`` calls."""
+
+    @given(st.sampled_from([0.0, 0.5, 1.0 / 3.0, 1.0, 6.0, 8.0]),
+           st.lists(st.tuples(st.integers(1, 4), st.integers(0, 20)),
+                    max_size=6),
+           st.integers(1, 50))
+    @settings(max_examples=120)
+    def test_equals_repeated_new_round(self, capacity, history, idle):
+        stepped = UploadBudget(capacity)
+        caught_up = UploadBudget(capacity)
+        # Busy rounds first, each spending up to ``spend`` pieces, so
+        # the idle stretch starts from arbitrary credits.
+        for rounds, spend in history:
+            for budget in (stepped, caught_up):
+                for _ in range(rounds):
+                    budget.new_round()
+                    for _ in range(min(spend, budget.available())):
+                        budget.consume()
+        assert stepped.credits == caught_up.credits
+        for _ in range(idle):
+            expected = stepped.new_round()
+        assert caught_up.accrue(idle) == expected
+        assert caught_up.credits == stepped.credits
+        assert caught_up.total_consumed == stepped.total_consumed
+
+    def test_new_round_is_accrue_one(self):
+        budget = UploadBudget(0.5)
+        assert budget.new_round() == 0
+        assert budget.accrue(1) == 1
+        assert budget.accrue(10) == 1  # capped at max(2c, 1) = 1

@@ -28,6 +28,13 @@ class TestParser:
         args = build_parser().parse_args(["run", "--algorithm", "propshare"])
         assert args.algorithm == "propshare"
 
+    def test_agent_listens_on_loopback_by_default(self):
+        # The agent unpickles every frame: it must not be reachable
+        # from other hosts unless asked.
+        assert build_parser().parse_args(["agent"]).bind == "127.0.0.1"
+        args = build_parser().parse_args(["agent", "--bind", "0.0.0.0"])
+        assert args.bind == "0.0.0.0"
+
     def test_run_fault_flags(self):
         args = build_parser().parse_args(
             ["run", "--algorithm", "tchain", "--loss-rate", "0.2",
