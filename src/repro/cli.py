@@ -16,18 +16,12 @@ Commands
     Crash-safe replicated sweep on a persistent worker pool
     (``--jobs``): crash isolation, per-replicate timeouts, bounded
     retry with jittered backoff, a resumable checkpoint journal, and
-    sweep telemetry. ``--hosts h1:7071,h2:7071`` dispatches replicates
-    to remote runner agents (failover + re-dispatch on agent death;
-    degrades to the local pool unless ``--no-local-fallback``);
-    ``--cache-dir`` fetches/persists finished replicates in a
-    content-addressed result cache. ``--sample-every N`` ships each
+    sweep telemetry. ``--cache-dir`` fetches/persists finished
+    replicates in a content-addressed result cache (``--cache-strict``
+    makes a corrupt entry fatal). ``--sample-every N`` ships each
     replicate's gauge series home through the telemetry channel;
     ``--trace-out`` renders them as one Chrome trace (one Perfetto
     process per seed).
-``agent``
-    Run a fabric agent: binds a socket, accepts dispatcher sessions,
-    executes sweep tasks in warm worker processes, streams results
-    home. Start one per machine, then point ``sweep --hosts`` at them.
 ``trace``
     Run one fully-instrumented simulation (tracer + samplers +
     profiler all on) and print its self-profile table, sparkline
@@ -56,9 +50,8 @@ Examples
         --journal sweep.jsonl --timeout 120 --jobs 4
     python -m repro sweep --algorithm tchain --sample-every 5 \
         --trace-out sweep.trace.json
-    python -m repro agent --port 7071 --slots 4
     python -m repro sweep --algorithm tchain --replicates 20 \
-        --hosts host-a:7071,host-b:7071 --cache-dir ./sweep-cache
+        --cache-dir ./sweep-cache
     python -m repro trace --algorithm bittorrent --freeriders 0.2
     python -m repro figure5 --scale smoke --seed 7
 """
@@ -73,6 +66,7 @@ from typing import List, Optional
 from repro.errors import (ConfigurationError, InvariantViolationError,
                           SimulationError, SimulationStalled)
 from repro.experiments import figures, report, scenarios, tables
+from repro.experiments.cache import CacheCorruptionError
 from repro.experiments.executor import DEFAULT_RECYCLE_AFTER
 from repro.experiments.export import result_to_json, summary_dict
 from repro.experiments.replicates import (DEFAULT_RETRY_BACKOFF,
@@ -236,28 +230,15 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="ROUNDS",
                               help="rounds between fluid<->event couplings "
                                    "(default 25; requires --population)")
-    dist = sweep.add_argument_group(
-        "distributed execution (repro.dist)")
-    dist.add_argument("--hosts", action="append", default=None,
-                      metavar="HOST:PORT[,HOST:PORT...]",
-                      help="dispatch replicates to these fabric agents "
-                           "(repeatable or comma-separated); agents are "
-                           "failure domains — in-flight replicates are "
-                           "re-dispatched when one dies, and the digest "
-                           "matches a local run")
-    dist.add_argument("--min-agents", type=int, default=1,
-                      help="minimum reachable agents before the sweep "
-                           "degrades to the local pool (default 1)")
-    dist.add_argument("--no-local-fallback", action="store_true",
-                      help="fail (exit 5) instead of degrading to the "
-                           "local pool when agents are unreachable")
-    dist.add_argument("--cache-dir", metavar="DIR", default=None,
-                      help="content-addressed result cache: finished "
-                           "replicates are persisted and fetched on "
-                           "overlapping re-runs (digest-identical)")
-    dist.add_argument("--cache-strict", action="store_true",
-                      help="treat a corrupt cache entry as fatal "
-                           "(exit 6) instead of a cache miss")
+    cache = sweep.add_argument_group("result cache")
+    cache.add_argument("--cache-dir", metavar="DIR", default=None,
+                       help="content-addressed result cache: finished "
+                            "replicates are persisted and fetched on "
+                            "overlapping re-runs (digest-identical)")
+    cache.add_argument("--cache-strict", action="store_true",
+                       help="treat a corrupt cache entry as fatal "
+                            "(exit 6) instead of a cache miss; needs "
+                            "--cache-dir")
     _add_fault_arguments(sweep)
     _add_guard_arguments(sweep)
     _add_obs_arguments(
@@ -265,33 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(shipped home via the telemetry channel; "
                               "needs --sample-every) as one Chrome trace, "
                               "one Perfetto process per seed")
-
-    agent = sub.add_parser(
-        "agent", help="run a distributed-sweep runner agent (see "
-                      "sweep --hosts)")
-    agent.add_argument("--bind", default="127.0.0.1", metavar="ADDR",
-                       help="address to listen on (default 127.0.0.1, "
-                            "this host only). The agent unpickles every "
-                            "frame it receives, so anyone who can reach "
-                            "the port can run code as the agent: pass "
-                            "--bind 0.0.0.0 only on a trusted network")
-    agent.add_argument("--port", type=int, default=7071,
-                       help="port to listen on (default 7071; 0 lets "
-                            "the OS pick)")
-    agent.add_argument("--slots", type=int, default=None,
-                       help="concurrent warm worker processes "
-                            "(default: CPU count minus one)")
-    agent.add_argument("--heartbeat", type=float, default=None,
-                       metavar="SECONDS",
-                       help="seconds between liveness heartbeats "
-                            "(default 1.0)")
-    agent.add_argument("--start-method", choices=["spawn", "fork"],
-                       default="spawn",
-                       help="multiprocessing context for slot workers")
-    agent.add_argument("--max-sessions", type=int, default=None,
-                       metavar="N",
-                       help="exit after N dispatcher sessions "
-                            "(default: serve forever)")
 
     trace = sub.add_parser(
         "trace", help="run one fully-instrumented simulation and print "
@@ -642,22 +596,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               "events never cross worker pipes; only sampled series do)",
               file=sys.stderr)
         return 2
+    if args.cache_strict and args.cache_dir is None:
+        print("sweep: --cache-strict needs --cache-dir DIR",
+              file=sys.stderr)
+        return 2
     seeds = tuple(range(args.seed, args.seed + args.replicates))
     recycle = (args.recycle_after if args.recycle_after is not None
                else DEFAULT_RECYCLE_AFTER)
     backoff = (args.retry_backoff if args.retry_backoff is not None
                else DEFAULT_RETRY_BACKOFF)
-    from repro.dist import (AgentUnreachableError, CacheCorruptionError,
-                            parse_hosts)
-    if args.hosts is not None:
-        try:
-            parse_hosts(args.hosts)
-        except ValueError as exc:
-            print(f"sweep: {exc}", file=sys.stderr)
-            return 2
-    if args.min_agents < 1:
-        print("sweep: --min-agents must be >= 1", file=sys.stderr)
-        return 2
     try:
         result = run_resilient_sweep(
             config, seeds,
@@ -667,15 +614,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             retry_backoff=backoff,
             jobs=args.jobs,
             recycle_after=recycle,
-            hosts=args.hosts,
-            min_agents=args.min_agents,
-            local_fallback=not args.no_local_fallback,
             cache_dir=args.cache_dir,
             cache_strict=args.cache_strict,
         )
-    except AgentUnreachableError as exc:
-        print(f"sweep: agents unreachable: {exc}", file=sys.stderr)
-        return 5
     except CacheCorruptionError as exc:
         print(f"sweep: result cache corrupt: {exc}", file=sys.stderr)
         print("sweep: delete the entry (or the cache directory) to "
@@ -724,15 +665,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"{engine.get('worker_crashes', 0)} crashes, "
               f"{engine.get('timeouts', 0)} timeouts, "
               f"{engine.get('workers_recycled', 0)} recycled")
-        for label, host in sorted((engine.get("hosts") or {}).items()):
-            print(f"  agent {label}: {host.get('ok', 0)} ok, "
-                  f"{host.get('errors', 0)} errors, "
-                  f"{host.get('redispatched', 0)} re-dispatched, "
-                  f"{host.get('disconnects', 0)} disconnects, "
-                  f"{host.get('reconnects', 0)} reconnects")
-        if engine.get("fallback_tasks"):
-            print(f"  local fallback ran {engine['fallback_tasks']} "
-                  "replicate(s)")
         cache_stats = engine.get("cache")
         if cache_stats:
             print(f"cache: {cache_stats.get('hits', 0)} hits, "
@@ -815,38 +747,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_agent(args: argparse.Namespace) -> int:
-    from repro.dist import Agent
-    from repro.experiments.executor import default_jobs
-    slots = args.slots if args.slots is not None else default_jobs()
-    if slots < 1:
-        print("agent: --slots must be >= 1", file=sys.stderr)
-        return 2
-    kwargs = {}
-    if args.heartbeat is not None:
-        kwargs["heartbeat_interval"] = args.heartbeat
-    agent = Agent(host=args.bind, port=args.port, slots=slots,
-                  start_method=args.start_method,
-                  max_sessions=args.max_sessions, **kwargs)
-    try:
-        port = agent.bind()
-    except OSError as exc:
-        print(f"agent: cannot bind {args.bind}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 2
-    # The smoke harness (and any supervisor) parses this line to learn
-    # the bound port, so print it before blocking — and flush.
-    print(f"agent: listening on {args.bind}:{port} ({slots} slots)",
-          flush=True)
-    try:
-        agent.serve_forever()
-    except KeyboardInterrupt:
-        print("agent: interrupted, shutting down", file=sys.stderr)
-    finally:
-        agent.stop()
-    return 0
-
-
 def _cmd_tables(_args: argparse.Namespace) -> int:
     print(report.full_report(include_figures=False))
     return 0
@@ -877,8 +777,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_sweep(args)
     if args.command == "trace":
         return _cmd_trace(args)
-    if args.command == "agent":
-        return _cmd_agent(args)
     if args.command == "tables":
         return _cmd_tables(args)
     if args.command in ("figure4", "figure5", "figure6"):

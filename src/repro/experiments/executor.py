@@ -55,8 +55,8 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
 __all__ = ["TaskSpec", "TaskTelemetry", "TaskResult", "PoolStats",
-           "ExecutionReport", "RespawnStormError", "LocalPoolBackend",
-           "run_tasks", "default_jobs", "DEFAULT_RECYCLE_AFTER",
+           "ExecutionReport", "RespawnStormError", "run_tasks",
+           "default_jobs", "DEFAULT_RECYCLE_AFTER",
            "DEFAULT_CRASH_STORM_LIMIT"]
 
 #: Tasks a worker executes before it is cleanly stopped and respawned.
@@ -148,10 +148,7 @@ class TaskTelemetry:
     ``attempts`` counts every try the task consumed, and ``last_error``
     keeps the most recent failure reason — together they make a
     retried-then-succeeded task distinguishable from a clean first-try
-    success in journals and dashboards. ``host`` names the remote agent
-    (``"host:port"``) that ran the final attempt when the task was
-    dispatched through the distributed fabric (:mod:`repro.dist`);
-    ``None`` for the in-process local pool.
+    success in journals and dashboards.
     """
 
     worker: Optional[int]
@@ -160,7 +157,6 @@ class TaskTelemetry:
     result_bytes: Optional[int] = None
     attempts: int = 1
     last_error: Optional[str] = None
-    host: Optional[str] = None
 
     def as_dict(self) -> Dict[str, Any]:
         return {"worker": self.worker,
@@ -168,8 +164,7 @@ class TaskTelemetry:
                 "queue_wait_s": self.queue_wait_s,
                 "result_bytes": self.result_bytes,
                 "attempts": self.attempts,
-                "last_error": self.last_error,
-                "host": self.host}
+                "last_error": self.last_error}
 
 
 @dataclass(frozen=True)
@@ -678,36 +673,3 @@ def run_tasks(specs: Sequence[TaskSpec],
                      start_method=start_method,
                      crash_storm_limit=crash_storm_limit)
     return engine.run()
-
-
-class LocalPoolBackend:
-    """Dispatch backend: the in-process persistent worker pool.
-
-    The sweep runner (:func:`repro.experiments.replicates.
-    run_resilient_sweep`) executes its task batch through a *dispatch
-    backend* — any object with ``run(specs, *, timeout, on_result) ->
-    ExecutionReport`` whose ``on_result`` fires in submission order.
-    This is the default backend (and the degradation target of the
-    distributed fabric, :class:`repro.dist.FabricBackend`): it simply
-    binds the pool-shaping keywords of :func:`run_tasks`.
-    """
-
-    def __init__(self, *, jobs: Optional[int] = None,
-                 recycle_after: Optional[int] = DEFAULT_RECYCLE_AFTER,
-                 start_method: str = "spawn",
-                 crash_storm_limit: Optional[int] =
-                 DEFAULT_CRASH_STORM_LIMIT) -> None:
-        self.jobs = jobs
-        self.recycle_after = recycle_after
-        self.start_method = start_method
-        self.crash_storm_limit = crash_storm_limit
-
-    def run(self, specs: Sequence[TaskSpec], *,
-            timeout: Optional[float] = None,
-            on_result: Optional[Callable[[TaskResult], None]] = None,
-            ) -> ExecutionReport:
-        return run_tasks(specs, jobs=self.jobs, timeout=timeout,
-                         recycle_after=self.recycle_after,
-                         on_result=on_result,
-                         start_method=self.start_method,
-                         crash_storm_limit=self.crash_storm_limit)

@@ -23,10 +23,9 @@ requested seed, attempt)``, never on which worker ran it or in what
 order replicates finished, and journal records are flushed by a single
 writer in canonical seed order. Aggregates and journal contents are
 therefore digest-identical across ``jobs=1``, ``jobs=8``, an
-interrupted-then-resumed run, a sweep dispatched to remote agents
-(``hosts=...`` — see :mod:`repro.dist`) under any agent-crash
-schedule, and a warm re-run served from the content-addressed result
-cache (``cache_dir=...``) (:meth:`SweepResult.canonical_digest`,
+interrupted-then-resumed run, and a warm re-run served from the
+content-addressed result cache (``cache_dir=...``, see
+:mod:`repro.experiments.cache`) (:meth:`SweepResult.canonical_digest`,
 :func:`journal_digest`). Telemetry — per-replicate wall time, queue
 wait, worker id, any :mod:`repro.obs` payload the replicate sampled
 (compacted series, profile aggregates, trace counts), and the
@@ -51,9 +50,9 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
-from repro.experiments.executor import (DEFAULT_RECYCLE_AFTER,
-                                        LocalPoolBackend, TaskResult,
-                                        TaskSpec, default_jobs, run_tasks)
+from repro.experiments.cache import ResultCache
+from repro.experiments.executor import (DEFAULT_RECYCLE_AFTER, TaskResult,
+                                        TaskSpec, run_tasks)
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.runner import run_simulation
@@ -499,17 +498,10 @@ def run_resilient_sweep(config: SimulationConfig,
                         jobs: Optional[int] = None,
                         recycle_after: Optional[int] = DEFAULT_RECYCLE_AFTER,
                         start_method: str = "spawn",
-                        backend: Optional[Any] = None,
-                        hosts: Optional[Any] = None,
-                        min_agents: int = 1,
-                        local_fallback: bool = True,
-                        fabric_options: Optional[Dict[str, Any]] = None,
-                        cache: Optional[Any] = None,
                         cache_dir: Optional[str] = None,
                         cache_strict: bool = False,
                         ) -> SweepResult:
-    """Crash-safe replicated sweep on a persistent worker pool — or a
-    distributed fabric of them.
+    """Crash-safe replicated sweep on a persistent worker pool.
 
     ``jobs`` warm workers (default: cores minus one) pull replicates
     from a shared queue — no per-replicate process spawn. A replicate
@@ -530,27 +522,15 @@ def run_resilient_sweep(config: SimulationConfig,
     and yields aggregates — and journal bytes — identical to an
     uninterrupted run at any ``jobs``.
 
-    **Distributed execution.** Pass ``hosts`` (``"h1:7071,h2:7071"``,
-    or any iterable of such specs) to dispatch replicates to
-    :mod:`repro.dist` runner agents instead of the local pool; the
-    dispatcher treats each host as a failure domain (re-dispatching
-    in-flight replicates when an agent dies, at the same attempt
-    number) and degrades to the local pool when fewer than
-    ``min_agents`` agents answer (or raises ``AgentUnreachableError``
-    when ``local_fallback=False``). ``fabric_options`` feeds extra
-    keywords to :class:`repro.dist.FabricBackend`; alternatively pass a
-    ready-made ``backend`` object (anything with ``run(specs, *,
-    timeout, on_result)`` delivering results in submission order). The
-    sweep's ``canonical_digest`` is byte-identical across local,
-    1-agent, N-agent, and agent-crash schedules.
-
-    **Result cache.** Pass ``cache_dir`` (or a ready
-    :class:`repro.dist.ResultCache` as ``cache``) to persist completed
-    ``ok`` outcomes content-addressed by ``(config fingerprint, seed)``
-    and fetch them on overlapping re-runs: cache hits are journaled in
-    canonical order exactly like recomputed replicates, so a warm-cache
-    sweep is digest-identical to a cold one. Corrupt entries count as
-    misses unless ``cache_strict`` (then ``CacheCorruptionError``).
+    **Result cache.** Pass ``cache_dir`` to persist completed ``ok``
+    outcomes in a :class:`repro.experiments.cache.ResultCache`,
+    content-addressed by ``(config fingerprint, seed)``, and fetch them
+    on overlapping re-runs: cache hits are journaled in canonical order
+    exactly like recomputed replicates, so a warm-cache sweep is
+    digest-identical to a cold one. An entry cached under different
+    extractors is a miss and is recomputed and re-stored. Corrupt
+    entries count as misses unless ``cache_strict`` (then
+    ``CacheCorruptionError``).
 
     ``task(config, seed)`` must be picklable (module-level); it
     defaults to running the simulation and returning its metrics.
@@ -566,8 +546,6 @@ def run_resilient_sweep(config: SimulationConfig,
         raise ValueError("max_attempts must be >= 1")
     if retry_backoff < 0.0:
         raise ValueError("retry_backoff must be >= 0")
-    if jobs is None:
-        jobs = default_jobs()
     chosen = extractors or HEADLINE_METRICS
     metric_names = list(chosen)
     fingerprint = _config_fingerprint(config)
@@ -581,9 +559,8 @@ def run_resilient_sweep(config: SimulationConfig,
                 "metrics": metric_names})
     resumed = sum(1 for seed in seeds if seed in completed)
 
-    if cache is None and cache_dir is not None:
-        from repro.dist.cache import ResultCache
-        cache = ResultCache(cache_dir, strict=cache_strict)
+    cache = (ResultCache(cache_dir, strict=cache_strict)
+             if cache_dir is not None else None)
 
     outcome_by_seed: Dict[int, ReplicateOutcome] = dict(completed)
     journaled = set(completed)
@@ -654,22 +631,9 @@ def run_resilient_sweep(config: SimulationConfig,
                                                   retry_backoff,
                                                   retry_backoff_cap))
              for seed in todo]
-    if backend is None and hosts is not None:
-        from repro.dist.dispatcher import FabricBackend
-        fallback = (LocalPoolBackend(jobs=jobs,
-                                     recycle_after=recycle_after,
-                                     start_method=start_method)
-                    if local_fallback else None)
-        backend = FabricBackend(hosts, min_agents=min_agents,
-                                local_fallback=fallback,
-                                **(fabric_options or {}))
-    if backend is None:
-        report = run_tasks(specs, jobs=jobs, timeout=timeout,
-                           recycle_after=recycle_after,
-                           on_result=_on_result,
-                           start_method=start_method)
-    else:
-        report = backend.run(specs, timeout=timeout, on_result=_on_result)
+    report = run_tasks(specs, jobs=jobs, timeout=timeout,
+                       recycle_after=recycle_after, on_result=_on_result,
+                       start_method=start_method)
     sweep_telemetry = report.stats.as_dict()
     if cache is not None:
         sweep_telemetry["cache"] = cache.stats.as_dict()

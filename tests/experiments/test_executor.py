@@ -185,11 +185,9 @@ class TestRecyclingAndTelemetry:
         assert telemetry.queue_wait_s >= 0
         assert telemetry.attempts == 1
         assert telemetry.last_error is None
-        assert telemetry.host is None
         assert set(telemetry.as_dict()) == {"worker", "wall_s",
                                             "queue_wait_s", "result_bytes",
-                                            "attempts", "last_error",
-                                            "host"}
+                                            "attempts", "last_error"}
 
     def test_telemetry_records_attempts_and_last_error(self):
         # A retried-then-succeeded task must be distinguishable in

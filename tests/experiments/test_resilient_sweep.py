@@ -509,3 +509,60 @@ class TestObsTelemetryChannel:
         serial = run_resilient_sweep(config, (0, 1, 2), jobs=1)
         parallel = run_resilient_sweep(config, (0, 1, 2), jobs=3)
         assert serial.canonical_digest() == parallel.canonical_digest()
+
+
+class TestResultCache:
+    """The content-addressed result cache (``cache_dir=``): warm and
+    partially warm re-runs are digest-identical to a cold run."""
+
+    SEEDS = (0, 1, 2, 3, 4, 5)
+
+    def _sweep(self, seeds=SEEDS, extractors=VALUE, **over):
+        return run_resilient_sweep(_config(), seeds, extractors,
+                                   task=task_identity, jobs=2,
+                                   timeout=60.0, retry_backoff=0.0, **over)
+
+    def test_warm_cache_rerun_is_digest_identical(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        cold = self._sweep(cache_dir=cache_dir,
+                           journal_path=str(tmp_path / "cold.jsonl"))
+        warm = self._sweep(cache_dir=cache_dir,
+                           journal_path=str(tmp_path / "warm.jsonl"))
+        assert warm.canonical_digest() == cold.canonical_digest()
+        assert warm.cached == len(self.SEEDS)
+        assert warm.telemetry["cache"]["hits"] == len(self.SEEDS)
+        assert (journal_digest(str(tmp_path / "warm.jsonl"))
+                == journal_digest(str(tmp_path / "cold.jsonl")))
+
+    def test_partial_cache_interleaves_in_canonical_order(self, tmp_path):
+        """Cache hits at seeds 0/2/4 interleave with computed 1/3/5 —
+        the journal must still come out in canonical seed order."""
+        cache_dir = str(tmp_path / "cache")
+        self._sweep(seeds=(0, 2, 4), cache_dir=cache_dir)
+        full_cold = self._sweep(journal_path=str(tmp_path / "cold.jsonl"))
+        mixed = self._sweep(cache_dir=cache_dir,
+                            journal_path=str(tmp_path / "mixed.jsonl"))
+        assert mixed.cached == 3
+        assert mixed.canonical_digest() == full_cold.canonical_digest()
+        assert (journal_digest(str(tmp_path / "mixed.jsonl"))
+                == journal_digest(str(tmp_path / "cold.jsonl")))
+
+    def test_entry_from_other_extractors_is_a_miss_and_restored(
+            self, tmp_path):
+        """An intact entry cached under a different metric set is a
+        plain miss (not a hit, not corruption): recomputed, re-stored."""
+        cache_dir = str(tmp_path / "cache")
+        seeds = (1, 2, 3)
+        self._sweep(seeds=seeds, cache_dir=cache_dir)
+        double = {"double": lambda m: 2.0 * m}
+        other = self._sweep(seeds=seeds, extractors=double,
+                            cache_dir=cache_dir)
+        assert other.cached == 0
+        assert other.telemetry["cache"] == {
+            "hits": 0, "misses": 3, "stores": 3, "corrupt": 0}
+        assert other["double"].values == (2.0, 4.0, 6.0)
+        warm = self._sweep(seeds=seeds, extractors=double,
+                           cache_dir=cache_dir)
+        assert warm.cached == 3
+        assert warm.telemetry["cache"]["hits"] == 3
+        assert warm.canonical_digest() == other.canonical_digest()

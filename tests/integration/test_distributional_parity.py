@@ -33,7 +33,7 @@ from typing import Dict, List
 
 import pytest
 
-from repro.dist.cache import ResultCache
+from repro.experiments.cache import ResultCache
 from repro.experiments.replicates import (
     _config_fingerprint,
     run_resilient_sweep,

@@ -28,12 +28,14 @@ class TestParser:
         args = build_parser().parse_args(["run", "--algorithm", "propshare"])
         assert args.algorithm == "propshare"
 
-    def test_agent_listens_on_loopback_by_default(self):
-        # The agent unpickles every frame: it must not be reachable
-        # from other hosts unless asked.
-        assert build_parser().parse_args(["agent"]).bind == "127.0.0.1"
-        args = build_parser().parse_args(["agent", "--bind", "0.0.0.0"])
-        assert args.bind == "0.0.0.0"
+    def test_no_network_listener_or_remote_dispatch(self):
+        # Nothing in the CLI opens a network port or ships work to
+        # other hosts: the agent subcommand and --hosts are gone.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["agent"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--algorithm", "tchain",
+                                       "--hosts", "127.0.0.1:7071"])
 
     def test_run_fault_flags(self):
         args = build_parser().parse_args(
@@ -124,6 +126,38 @@ class TestCommands:
         assert "0 resumed" in first
         assert main(argv) == 0
         assert "2 resumed" in capsys.readouterr().out
+
+    def test_sweep_cache_rerun_reports_cached(self, tmp_path, capsys):
+        argv = ["sweep", "--algorithm", "altruism", "--scale", "smoke",
+                "--replicates", "2", "--jobs", "1",
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        assert "0 cached" in capsys.readouterr().out
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "2 cached" in out
+        assert "cache: 2 hits, 0 misses, 0 stores, 0 corrupt" in out
+
+    def test_sweep_strict_cache_corruption_exits_6(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        argv = ["sweep", "--algorithm", "altruism", "--scale", "smoke",
+                "--replicates", "1", "--jobs", "1",
+                "--cache-dir", str(cache_dir)]
+        assert main(argv) == 0
+        (entry,) = cache_dir.glob("*/*/*.json")
+        entry.write_text(entry.read_text()[:-10])  # torn write
+        capsys.readouterr()
+        assert main(argv + ["--cache-strict"]) == 6
+        err = capsys.readouterr().err
+        assert "result cache corrupt" in err
+        assert str(entry) in err
+
+    def test_sweep_cache_strict_requires_cache_dir(self, capsys):
+        assert main(["sweep", "--algorithm", "altruism", "--scale", "smoke",
+                     "--replicates", "1", "--cache-strict"]) == 2
+        err = capsys.readouterr().err
+        assert "--cache-strict needs --cache-dir" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_sweep_rejects_zero_replicates(self, capsys):
         code = main(["sweep", "--algorithm", "altruism", "--scale", "smoke",
