@@ -8,8 +8,10 @@ Times the same replicated sweep three ways:
   engine). Every replicate pays a full interpreter start plus package
   import.
 * ``engine_jobs1`` — the persistent engine serialized to one worker:
-  the pool is warmed once, so the spawn cost is paid once per sweep
-  instead of once per replicate.
+  the pool is warmed once, so the worker start cost is paid once per
+  sweep instead of once per replicate. The engine uses its default
+  start method (``fork`` on Linux, ``spawn`` on macOS and Windows),
+  recorded per mode as ``start_method``; ``legacy`` always spawns.
 * ``engine_jobsN`` — the engine fanned out over N workers (default 4).
   On multi-core hosts this adds true parallelism on top. When the host
   has fewer usable CPUs than N, the workers time-share cores, so the
@@ -35,23 +37,16 @@ import argparse
 import concurrent.futures
 import json
 import multiprocessing
-import os
 import platform
 import sys
 import time
 
+from repro.experiments.executor import usable_cpus
 from repro.experiments.replicates import _replicate_task, run_resilient_sweep
 from repro.experiments.scenarios import default_scale, smoke_scale
 from repro.names import Algorithm
 
 __all__ = ["run_bench", "main"]
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _time_legacy(config, seeds) -> float:
@@ -82,7 +77,7 @@ def run_bench(scale: str, replicates: int, jobs: int, seed: int) -> dict:
         "replicates": replicates,
         "jobs": jobs,
         "seed": seed,
-        "cpu_count": _usable_cpus(),
+        "cpu_count": usable_cpus(),
         "python": platform.python_version(),
         "modes": {},
     }
@@ -92,6 +87,7 @@ def run_bench(scale: str, replicates: int, jobs: int, seed: int) -> dict:
         "seconds": legacy_s,
         "seconds_per_replicate": legacy_s / replicates,
         "description": "fresh spawn-context pool per replicate",
+        "start_method": "spawn",
     }
     print(f"{'legacy':14s} {legacy_s:8.3f}s "
           f"({legacy_s / replicates:.3f}s/replicate)", flush=True)
@@ -101,6 +97,7 @@ def run_bench(scale: str, replicates: int, jobs: int, seed: int) -> dict:
         "seconds": serial_s,
         "seconds_per_replicate": serial_s / replicates,
         "utilization": serial.telemetry.get("utilization"),
+        "start_method": serial.telemetry.get("start_method"),
     }
     print(f"{'engine_jobs1':14s} {serial_s:8.3f}s "
           f"({serial_s / replicates:.3f}s/replicate)", flush=True)
@@ -110,6 +107,7 @@ def run_bench(scale: str, replicates: int, jobs: int, seed: int) -> dict:
         "seconds": fanned_s,
         "seconds_per_replicate": fanned_s / replicates,
         "utilization": fanned.telemetry.get("utilization"),
+        "start_method": fanned.telemetry.get("start_method"),
     }
     print(f"{f'engine_jobs{jobs}':14s} {fanned_s:8.3f}s "
           f"({fanned_s / replicates:.3f}s/replicate)", flush=True)

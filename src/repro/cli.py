@@ -202,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--max-attempts", type=int, default=3,
                        help="tries per replicate before recording a failure")
     sweep.add_argument("--jobs", type=int, default=None,
-                       help="persistent worker processes (default: CPU "
-                            "count minus one); results are identical "
-                            "for any value")
+                       help="persistent worker processes (default: "
+                            "usable CPU count minus one); results are "
+                            "identical for any value")
     sweep.add_argument("--recycle-after", type=int, default=None,
                        metavar="K",
                        help="recycle each worker after K replicates "
@@ -659,7 +659,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"replicate series) to {args.trace_out}")
     engine = result.telemetry
     if engine:
-        print(f"engine: {engine.get('jobs', 0)} workers, "
+        print(f"engine: {engine.get('jobs', 0)} workers "
+              f"({engine.get('start_method', '?')}), "
               f"{engine.get('wall_s', 0.0):.2f}s wall, "
               f"{100.0 * engine.get('utilization', 0.0):.0f}% utilized, "
               f"{engine.get('worker_crashes', 0)} crashes, "

@@ -497,24 +497,24 @@ def run_resilient_sweep(config: SimulationConfig,
                         task: Callable[..., Any] = _replicate_task,
                         jobs: Optional[int] = None,
                         recycle_after: Optional[int] = DEFAULT_RECYCLE_AFTER,
-                        start_method: str = "spawn",
+                        start_method: Optional[str] = None,
                         cache_dir: Optional[str] = None,
                         cache_strict: bool = False,
                         ) -> SweepResult:
     """Crash-safe replicated sweep on a persistent worker pool.
 
-    ``jobs`` warm workers (default: cores minus one) pull replicates
-    from a shared queue — no per-replicate process spawn. A replicate
-    that crashes its worker or exceeds ``timeout`` seconds of wall
-    clock is retried — up to ``max_attempts`` total tries, each with a
-    deterministically reseeded configuration and a jittered exponential
-    backoff (``retry_backoff`` base seconds, doubling per attempt up to
-    ``retry_backoff_cap``, jitter derived from the retry seed so it is
-    reproducible; ``retry_backoff=0`` restores immediate requeue) — and
-    recorded as failed (not fatal to the sweep) if every attempt dies;
-    only the affected worker is killed and respawned, its siblings keep
-    running. Workers are recycled after ``recycle_after`` tasks to
-    bound leaked memory.
+    ``jobs`` warm workers (default: usable cores minus one) pull
+    replicates from a shared queue — no per-replicate process spawn. A
+    replicate that crashes its worker or exceeds ``timeout`` seconds of
+    wall clock is retried — up to ``max_attempts`` total tries, each
+    with a deterministically reseeded configuration and a jittered
+    exponential backoff (``retry_backoff`` base seconds, doubling per
+    attempt up to ``retry_backoff_cap``, jitter derived from the retry
+    seed so it is reproducible; ``retry_backoff=0`` restores immediate
+    requeue) — and recorded as failed (not fatal to the sweep) if every
+    attempt dies; only the affected worker is killed and respawned, its
+    siblings keep running. Workers are recycled after ``recycle_after``
+    tasks to bound leaked memory.
 
     Completed replicates are appended to ``journal_path`` (JSON lines,
     fsynced, single writer, canonical seed order), so re-running the
@@ -536,8 +536,11 @@ def run_resilient_sweep(config: SimulationConfig,
     defaults to running the simulation and returning its metrics.
     ``extractors`` run in the parent process on the task's return
     value, so they may be lambdas. ``start_method`` selects the
-    multiprocessing context (``"spawn"`` for portability; ``"fork"``
-    for near-free worker startup on POSIX).
+    multiprocessing context; ``None`` lets the executor choose
+    (``"fork"`` where it is safe, else ``"spawn"``; see
+    :func:`repro.experiments.executor.resolve_start_method`). It
+    changes how fast workers start, never what a replicate computes:
+    digests, journals and cache entries are the same under either.
     """
     seeds = tuple(seeds)
     if not seeds:

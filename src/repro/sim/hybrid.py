@@ -284,7 +284,8 @@ def reference_config(config: SimulationConfig) -> SimulationConfig:
 def _shard_task(config: SimulationConfig, index: int) -> SimulationMetrics:
     """Executor task: run one subswarm and return its metrics.
 
-    Module-level so it pickles into spawn-started pool workers.
+    Module-level so it pickles into pool workers under either start
+    method (forked workers inherit it, spawned ones import it).
     """
     from repro.sim.runner import run_simulation
 
@@ -293,7 +294,7 @@ def _shard_task(config: SimulationConfig, index: int) -> SimulationMetrics:
 
 def _run_shards(config: SimulationConfig, plan: ShardPlan, *,
                 jobs: Optional[int], timeout: Optional[float],
-                start_method: str) -> List[SimulationMetrics]:
+                start_method: Optional[str]) -> List[SimulationMetrics]:
     """Run all subswarms, inline or on the sweep executor pool.
 
     ``jobs=None`` or ``1`` runs shards sequentially in-process — the
@@ -614,7 +615,7 @@ def _aggregate(config: SimulationConfig, plan: ShardPlan,
 def run_hybrid_simulation(config: SimulationConfig, *,
                           jobs: Optional[int] = None,
                           timeout: Optional[float] = None,
-                          start_method: str = "spawn"):
+                          start_method: Optional[str] = None):
     """Run ``config`` as a population-scale fluid/event-driven hybrid.
 
     Requires ``config.population``; :func:`repro.sim.runner.
@@ -623,6 +624,8 @@ def run_hybrid_simulation(config: SimulationConfig, *,
     (:func:`repro.experiments.executor.run_tasks`); the default runs
     them inline, which is what nested contexts (sweep workers are
     daemonic) require and what small validation runs want anyway.
+    ``start_method`` is passed to the executor; ``None`` lets it
+    choose (``"fork"`` where it is safe, else ``"spawn"``).
     Returns a :class:`repro.sim.runner.SimulationResult` whose
     ``metrics`` is a :class:`HybridMetrics`.
     """

@@ -1,24 +1,39 @@
 """Tests for the persistent worker-pool execution engine.
 
-Task functions live at module level so they pickle into worker
-processes under the ``spawn`` start method; per-attempt argument
-factories run in the parent and may be lambdas.
+Task functions live at module level so they pickle into workers under
+either start method (a ``spawn`` worker imports this module afresh);
+per-attempt argument factories run in the parent and may be lambdas.
+Contracts whose implementation differs between ``fork`` and ``spawn``
+(worker start, death, kill, shutdown) are checked under both, in a loop
+over :data:`START_METHODS`.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import select
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
+import repro
+from repro.experiments import executor
 from repro.experiments.executor import (
     RespawnStormError,
     TaskSpec,
     default_jobs,
+    resolve_start_method,
     run_tasks,
 )
+
+#: Start methods this platform offers, the portable one last.
+START_METHODS = tuple(m for m in ("fork", "spawn")
+                      if m in multiprocessing.get_all_start_methods())
 
 
 # ---------------------------------------------------------------------
@@ -46,13 +61,26 @@ def boom(x):
     raise ValueError(f"bad {x}")
 
 
+#: Set by a test after import; a forked worker sees the parent's value,
+#: a spawned one re-imports this module and sees ``None``.
+PARENT_MARK = None
+
+
+def read_parent_mark(_):
+    return PARENT_MARK
+
+
 class TestBasics:
     def test_results_in_submission_order(self):
-        specs = [TaskSpec(key=i, fn=square, args=(i,)) for i in range(6)]
-        report = run_tasks(specs, jobs=2)
-        assert [r.key for r in report.results] == list(range(6))
-        assert [r.value for r in report.results] == [i * i for i in range(6)]
-        assert all(r.ok and r.attempts == 1 for r in report.results)
+        for start_method in START_METHODS:
+            specs = [TaskSpec(key=i, fn=square, args=(i,))
+                     for i in range(6)]
+            report = run_tasks(specs, jobs=2, start_method=start_method)
+            assert report.stats.start_method == start_method
+            assert [r.key for r in report.results] == list(range(6))
+            assert ([r.value for r in report.results]
+                    == [i * i for i in range(6)])
+            assert all(r.ok and r.attempts == 1 for r in report.results)
 
     def test_on_result_fires_in_submission_order(self):
         seen = []
@@ -72,9 +100,10 @@ class TestBasics:
         assert report.stats.workers_spawned == 2
 
     def test_no_leaked_children(self):
-        specs = [TaskSpec(key=i, fn=square, args=(i,)) for i in range(3)]
-        run_tasks(specs, jobs=2)
-        assert multiprocessing.active_children() == []
+        for start_method in START_METHODS:
+            specs = [TaskSpec(key=i, fn=square, args=(i,)) for i in range(3)]
+            run_tasks(specs, jobs=2, start_method=start_method)
+            assert multiprocessing.active_children() == [], start_method
 
     def test_validation(self):
         spec = TaskSpec(key=1, fn=square, args=(1,))
@@ -88,6 +117,112 @@ class TestBasics:
 
     def test_default_jobs_at_least_one(self):
         assert default_jobs() >= 1
+
+    def test_default_jobs_counts_usable_cpus(self, monkeypatch):
+        # The affinity mask, not the installed count, bounds the pool.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        assert default_jobs() == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5},
+                            raising=False)
+        assert default_jobs() == 1
+        # No affinity API: fall back to the installed count.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert default_jobs() == 63
+
+
+class TestStartMethod:
+    def test_platform_rule(self, monkeypatch):
+        monkeypatch.setattr(executor, "get_all_start_methods",
+                            lambda: ["fork", "spawn", "forkserver"])
+        monkeypatch.setattr(sys, "platform", "linux")
+        assert resolve_start_method() == "fork"
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert resolve_start_method() == "spawn"
+        monkeypatch.setattr(sys, "platform", "linux")
+        monkeypatch.setattr(executor, "get_all_start_methods",
+                            lambda: ["spawn"])
+        assert resolve_start_method() == "spawn"
+
+    def test_empty_batch_reports_resolved_method(self):
+        report = run_tasks([], start_method="spawn")
+        assert report.stats.as_dict()["start_method"] == "spawn"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="fork is the default on Linux only")
+    def test_default_is_fork_on_linux(self, monkeypatch):
+        # Only a forked worker can see a value the parent set after
+        # import; a spawned one re-imports this module.
+        monkeypatch.setattr(sys.modules[__name__], "PARENT_MARK",
+                            "set-after-import")
+        report = run_tasks([TaskSpec(key=0, fn=read_parent_mark, args=(0,))],
+                           jobs=1)
+        assert report.results[0].value == "set-after-import"
+        assert report.stats.start_method == "fork"
+        assert report.stats.as_dict()["start_method"] == "fork"
+
+
+#: Runs a batch of short sleeps on two workers and prints the worker
+#: pids once the first task is done, so the test can kill this parent
+#: mid-batch. ``time.sleep`` pickles by reference under either method.
+_ORPHAN_SCRIPT = textwrap.dedent("""
+    import multiprocessing, sys, time
+    from repro.experiments.executor import TaskSpec, run_tasks
+
+    def report(result):
+        pids = [p.pid for p in multiprocessing.active_children()]
+        print(" ".join(map(str, pids)), flush=True)
+
+    if __name__ == "__main__":
+        run_tasks([TaskSpec(key=i, fn=time.sleep, args=(0.2,))
+                   for i in range(200)],
+                  jobs=2, start_method=sys.argv[1], on_result=report)
+""")
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie (an orphan that
+    has exited but whose new parent has not reaped it yet)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError, IndexError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="needs /proc to inspect orphaned workers")
+class TestOrphanedWorkers:
+    def test_workers_never_outlive_a_killed_parent(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        for start_method in START_METHODS:
+            parent = subprocess.Popen(
+                [sys.executable, "-c", _ORPHAN_SCRIPT, start_method],
+                stdout=subprocess.PIPE, text=True, env=env)
+            try:
+                ready, _, _ = select.select([parent.stdout], [], [], 60.0)
+                line = parent.stdout.readline() if ready else ""
+                pids = [int(p) for p in line.split()]
+            finally:
+                parent.send_signal(signal.SIGKILL)
+                parent.wait()
+                parent.stdout.close()
+            assert len(pids) == 2, (start_method, pids)
+            deadline = time.monotonic() + 10.0
+            while (time.monotonic() < deadline
+                   and any(_running(pid) for pid in pids)):
+                time.sleep(0.05)
+            survivors = [pid for pid in pids if _running(pid)]
+            for pid in survivors:  # do not leak them past the test
+                os.kill(pid, signal.SIGKILL)
+            assert survivors == [], (
+                f"{start_method} workers outlived their killed parent")
 
 
 class TestFailureIsolation:
@@ -103,16 +238,18 @@ class TestFailureIsolation:
     def test_worker_death_retried_with_fresh_args(self):
         # First attempt os._exit()s the worker; the per-attempt args
         # factory hands the retry a value that succeeds.
-        specs = [TaskSpec(key=i, fn=exit_if_small,
-                          args=(lambda a, i=i: (i if a == 1 else i + 1000,)),
-                          max_attempts=2)
-                 for i in range(3)]
-        report = run_tasks(specs, jobs=2)
-        assert [r.status for r in report.results] == ["ok"] * 3
-        assert [r.attempts for r in report.results] == [2, 2, 2]
-        assert [r.value for r in report.results] == [1000, 1001, 1002]
-        assert report.stats.worker_crashes == 3
-        assert report.stats.retries == 3
+        for start_method in START_METHODS:
+            specs = [TaskSpec(key=i, fn=exit_if_small,
+                              args=(lambda a, i=i: (i if a == 1
+                                                    else i + 1000,)),
+                              max_attempts=2)
+                     for i in range(3)]
+            report = run_tasks(specs, jobs=2, start_method=start_method)
+            assert [r.status for r in report.results] == ["ok"] * 3
+            assert [r.attempts for r in report.results] == [2, 2, 2]
+            assert [r.value for r in report.results] == [1000, 1001, 1002]
+            assert report.stats.worker_crashes == 3
+            assert report.stats.retries == 3
 
     def test_worker_death_exhausts_attempts(self):
         report = run_tasks([TaskSpec(key=0, fn=exit_if_small, args=(0,),
@@ -132,18 +269,21 @@ class TestFailureIsolation:
         assert report.results[1].value == 49
 
     def test_timeout_kills_only_offender(self):
-        specs = [TaskSpec(key=i, fn=sleep_if_two, args=(i,))
-                 for i in (1, 2, 3)]
-        start = time.perf_counter()
-        report = run_tasks(specs, jobs=2, timeout=2.0)
-        elapsed = time.perf_counter() - start
-        by_key = {r.key: r for r in report.results}
-        assert by_key[1].ok and by_key[3].ok
-        assert by_key[2].status == "failed"
-        assert "timeout after 2.0s" in by_key[2].error
-        assert report.stats.timeouts == 1
-        # The hung task slept 30s; siblings were not serialized behind it.
-        assert elapsed < 20.0
+        for start_method in START_METHODS:
+            specs = [TaskSpec(key=i, fn=sleep_if_two, args=(i,))
+                     for i in (1, 2, 3)]
+            start = time.perf_counter()
+            report = run_tasks(specs, jobs=2, timeout=2.0,
+                               start_method=start_method)
+            elapsed = time.perf_counter() - start
+            by_key = {r.key: r for r in report.results}
+            assert by_key[1].ok and by_key[3].ok
+            assert by_key[2].status == "failed"
+            assert "timeout after 2.0s" in by_key[2].error
+            assert report.stats.timeouts == 1
+            # The hung task slept 30s; siblings were not serialized
+            # behind it.
+            assert elapsed < 20.0
 
 
 class TestRecyclingAndTelemetry:
@@ -231,14 +371,17 @@ class TestRespawnStormBreaker:
     def test_storm_trips_breaker(self):
         # Every spawned worker dies before completing a single task;
         # without the breaker this would respawn until attempts ran out.
-        specs = [TaskSpec(key=i, fn=exit_always, args=(i,), max_attempts=10)
-                 for i in range(4)]
-        with pytest.raises(RespawnStormError) as excinfo:
-            run_tasks(specs, jobs=1, crash_storm_limit=3)
-        exc = excinfo.value
-        assert exc.deaths == 3
-        assert "3 consecutive workers" in str(exc)
-        assert exc.last_exitcode == 7
+        for start_method in START_METHODS:
+            specs = [TaskSpec(key=i, fn=exit_always, args=(i,),
+                              max_attempts=10)
+                     for i in range(4)]
+            with pytest.raises(RespawnStormError) as excinfo:
+                run_tasks(specs, jobs=1, crash_storm_limit=3,
+                          start_method=start_method)
+            exc = excinfo.value
+            assert exc.deaths == 3
+            assert "3 consecutive workers" in str(exc)
+            assert exc.last_exitcode == 7
 
     def test_intermittent_crashes_do_not_trip(self):
         # Crashes interleaved with completed tasks: every success (and

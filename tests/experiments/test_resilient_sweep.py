@@ -1,14 +1,17 @@
 """Tests for the crash-safe resilient sweep runner.
 
 The fake tasks live at module level so they pickle into the worker
-processes (the engine's ``spawn`` start method requires it); the
-extractors run in the parent and may be lambdas.
+processes under either start method (a ``spawn`` worker imports this
+module afresh); the extractors run in the parent and may be lambdas.
+Worker crashes and timeouts are checked under every start method the
+platform offers.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 import time
 
@@ -24,6 +27,10 @@ from repro.experiments.scenarios import smoke_scale
 from repro.names import Algorithm
 
 SEEDS = (1, 2, 3)
+
+#: Start methods this platform offers, the portable one last.
+START_METHODS = tuple(m for m in ("fork", "spawn")
+                      if m in multiprocessing.get_all_start_methods())
 
 # Extractors for the fake tasks below, whose "metrics" are plain floats.
 VALUE = {"value": lambda m: m}
@@ -320,29 +327,50 @@ class TestParallelDeterminism:
         assert journal_digest(path) == journal_digest(reference_path)
 
     def test_worker_crash_retried_and_reseeded(self):
-        sweep = run_resilient_sweep(_config(), SEEDS, VALUE,
-                                    task=task_kill_worker_on_small_seeds,
-                                    max_attempts=2, jobs=2)
-        assert sweep.n_failed == 0
-        for outcome in sweep.outcomes:
-            assert outcome.attempts == 2
-            assert outcome.used_seed != outcome.seed
-            assert outcome.values["value"] == float(outcome.used_seed % 9973)
-        assert sweep.telemetry["worker_crashes"] >= 3
+        for start_method in START_METHODS:
+            sweep = run_resilient_sweep(
+                _config(), SEEDS, VALUE,
+                task=task_kill_worker_on_small_seeds, max_attempts=2,
+                jobs=2, start_method=start_method)
+            assert sweep.n_failed == 0
+            for outcome in sweep.outcomes:
+                assert outcome.attempts == 2
+                assert outcome.used_seed != outcome.seed
+                assert (outcome.values["value"]
+                        == float(outcome.used_seed % 9973))
+            assert sweep.telemetry["worker_crashes"] >= 3
+            assert sweep.telemetry["start_method"] == start_method
 
     def test_timeout_does_not_stall_siblings(self):
-        start = time.perf_counter()
-        sweep = run_resilient_sweep(_config(), (1, 2, 3), VALUE,
-                                    task=task_hang_on_seed_two,
-                                    timeout=2.0, max_attempts=1, jobs=2)
-        elapsed = time.perf_counter() - start
-        by_seed = {o.seed: o for o in sweep.outcomes}
-        assert by_seed[1].ok and by_seed[3].ok
-        assert by_seed[2].status == "failed"
-        assert "timeout" in by_seed[2].error
-        # The hung replicate slept 60s; the sweep did not.
-        assert elapsed < 30.0
-        assert sweep.telemetry["timeouts"] == 1
+        for start_method in START_METHODS:
+            start = time.perf_counter()
+            sweep = run_resilient_sweep(_config(), (1, 2, 3), VALUE,
+                                        task=task_hang_on_seed_two,
+                                        timeout=2.0, max_attempts=1, jobs=2,
+                                        start_method=start_method)
+            elapsed = time.perf_counter() - start
+            by_seed = {o.seed: o for o in sweep.outcomes}
+            assert by_seed[1].ok and by_seed[3].ok
+            assert by_seed[2].status == "failed"
+            assert "timeout" in by_seed[2].error
+            # The hung replicate slept 60s; the sweep did not.
+            assert elapsed < 30.0
+            assert sweep.telemetry["timeouts"] == 1
+
+    def test_digests_identical_spawn_vs_default(self, tmp_path):
+        # The start method decides how workers start, never what a
+        # replicate computes: real simulations, same digests.
+        default_path = str(tmp_path / "default.jsonl")
+        spawn_path = str(tmp_path / "spawn.jsonl")
+        default = run_resilient_sweep(_config(), (1, 2), jobs=2,
+                                      journal_path=default_path)
+        spawned = run_resilient_sweep(_config(), (1, 2), jobs=2,
+                                      journal_path=spawn_path,
+                                      start_method="spawn")
+        assert spawned.telemetry["start_method"] == "spawn"
+        assert default.n_failed == spawned.n_failed == 0
+        assert default.canonical_digest() == spawned.canonical_digest()
+        assert journal_digest(default_path) == journal_digest(spawn_path)
 
 
 class TestTelemetry:
@@ -361,7 +389,7 @@ class TestTelemetry:
         assert len(summaries) == 1
         engine = summaries[0]["telemetry"]
         assert {"jobs", "wall_s", "utilization",
-                "workers_spawned"} <= set(engine)
+                "workers_spawned", "start_method"} <= set(engine)
 
     def test_sweep_result_exposes_engine_summary(self):
         sweep = run_resilient_sweep(_config(), (1, 2), VALUE,

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.executor import resolve_start_method
 
 
 class TestParser:
@@ -116,6 +117,8 @@ class TestCommands:
         assert "2 replicates" in out
         assert "mean_completion_time" in out
         assert "0 failed" in out
+        # The engine line names the start method the workers used.
+        assert f"workers ({resolve_start_method()})," in out
 
     def test_sweep_with_journal_resumes(self, tmp_path, capsys):
         journal = str(tmp_path / "sweep.jsonl")
