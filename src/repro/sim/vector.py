@@ -6,23 +6,23 @@ contiguous arrays indexed by *slot* (one slot per lineage: seeders
 first, then users in creation order) instead of one Python object per
 peer:
 
-* piece state as integer bitmasks plus a ``(n_slots, n_words)`` numpy
-  ``uint64`` matrix of held-or-pending words, so "which neighbors can
-  I serve" is one batched ``AND``/``any`` over the neighbor rows;
+* piece state as integer bitmasks (usable, and usable-or-pending),
+  so "does this neighbor need anything I have" is one bigint test;
 * pairwise ledgers (uploaded-to / received-from / FairTorrent
-  deficits) as per-slot dicts, maintained only for the algorithms
-  that read them — plus an incrementally-maintained creditor set for
-  reciprocity so its no-RNG turns never touch numpy at all;
+  deficits) as per-slot dicts or slot-by-slot matrices, maintained
+  only for the algorithms that read them — plus an
+  incrementally-maintained creditor set for reciprocity;
 * reputations, budgets, totals, times and attack flags as flat
   per-slot arrays;
-* T-Chain pending obligations as per-slot dicts mirrored into numpy
-  blacklist columns (pending count, oldest round).
+* T-Chain pending obligations as per-slot dicts with a per-slot
+  oldest-round column for the blacklist and expiry tests, and an
+  uploader-to-slots reverse index for orphan drops.
 
-Each uploader turn computes its needy-neighbor pool *once* as a
-batched array query, materializes it as an ascending Python list, and
-repairs it in place after every send (only the send's target can
-change state during the uploader's own turn). The per-algorithm
-decision rules live in :mod:`repro.algorithms.vector_kernels`.
+Each uploader turn computes its needy-neighbor pool *once* with one
+pass over its sorted view, and repairs it in place after every send
+(only the send's target can change state during the uploader's own
+turn). The per-algorithm decision rules live in
+:mod:`repro.algorithms.vector_kernels`.
 
 Determinism contract
 --------------------
@@ -96,17 +96,6 @@ __all__ = ["VectorSimulation", "VectorFastSimulation",
 #: Sentinel for "no pending obligation" in the oldest-round columns;
 #: must compare greater than every reachable blacklist horizon.
 _NO_PENDING = 1 << 62
-
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-
-#: Views at or below this size run discovery as a plain Python loop
-#: over bigint masks; larger ones (large-view attackers, seeders) use
-#: the numpy word-matrix query.
-_SMALL_VIEW = 96
-
-#: Single-bit uint64 constants so per-send word updates skip a
-#: ``np.uint64(...)`` construction.
-_U64_BITS = [np.uint64(1 << i) for i in range(64)]
 
 
 def _randbelow(getrandbits, n: int) -> int:
@@ -191,8 +180,6 @@ class VectorSimulation:
         algorithm = config.algorithm
         self.n_pieces = config.n_pieces
         self._full_mask = (1 << config.n_pieces) - 1
-        self._n_words = (config.n_pieces + 63) // 64
-        self._n_bytes = self._n_words * 8
         self.neighbor_count = config.neighbor_count
         self.max_rounds = config.max_rounds
         self.sample_interval = config.sample_interval
@@ -299,23 +286,6 @@ class VectorSimulation:
         #: change has anyone to wake, which keeps the per-edge wake off
         #: the arrival path of mechanisms that never sleep.
         self._any_slept = False
-        #: Held-or-pending bitmask rows as uint64 words, for batched
-        #: "who needs what I have" queries over neighbor slot arrays.
-        #: The backing store is an ``array.array`` with the numpy
-        #: matrix as a shared-memory view: per-send scalar updates go
-        #: through the array (~3x faster than numpy scalar indexing)
-        #: while batched reads stay vectorized — no sync step needed.
-        self._Wf = array("Q", bytes(8 * n_slots * self._n_words))
-        self.W = np.frombuffer(self._Wf, dtype=np.uint64).reshape(
-            n_slots, self._n_words)
-        #: Usable-only word rows (wp in discovery queries), kept in
-        #: lockstep with ``usable`` so a turn never re-packs a bigint.
-        self._UWf = array("Q", bytes(8 * n_slots * self._n_words))
-        self.UW = np.frombuffer(self._UWf, dtype=np.uint64).reshape(
-            n_slots, self._n_words)
-        # Preallocated discovery scratch (gather and compare buffers).
-        self._gbuf = np.empty((n_slots, self._n_words), dtype=np.uint64)
-        self._ebuf = np.empty((n_slots, self._n_words), dtype=bool)
 
         # Pairwise ledgers, algorithm-gated (see class docstring).
         mk = n_slots
@@ -323,8 +293,11 @@ class VectorSimulation:
             [{} for _ in range(mk)]
             if self._need_rcv and not self._use_rmat else [])
         #: All-time received ledger as a slot matrix (same whitewash
-        #: semantics as ``D`` below: column zeroed, row kept);
-        #: array-backed like ``W`` for cheap per-send increments.
+        #: semantics as ``D`` below: column zeroed, row kept). The
+        #: backing store is an ``array.array`` with the numpy matrix as
+        #: a shared-memory view: per-send increments go through the
+        #: array (cheaper than numpy scalar indexing) while kernel
+        #: gathers stay vectorized.
         self._Rf = (array("i", bytes(4 * mk * mk))
                     if self._use_rmat else None)
         self.R = (np.frombuffer(self._Rf, dtype=np.int32).reshape(mk, mk)
@@ -346,16 +319,17 @@ class VectorSimulation:
                   if self._need_dev else None)
 
         # T-Chain pending obligations: piece -> (uploader_id,
-        # designated_target, created_round), with numpy blacklist
-        # mirrors (count, oldest created round).
+        # designated_target, created_round), with each slot's oldest
+        # created round for the blacklist and expiry tests.
         self.pend: List[Dict[int, Tuple[int, Optional[int], int]]] = (
             [{} for _ in range(n_slots)])
         self.poldest: List[int] = [_NO_PENDING] * n_slots
-        self._pcnt = array("i", bytes(4 * n_slots))
-        self.pcnt_np = np.frombuffer(self._pcnt, dtype=np.int32)
-        self._poldest_arr = array("q", [_NO_PENDING]) * n_slots
-        self.poldest_np = np.frombuffer(self._poldest_arr, dtype=np.int64)
         self._pend_nonempty = 0
+        #: Reverse pending index for ``_drop_orphaned``: uploader id ->
+        #: the slots it has ever delivered an encrypted piece to. A
+        #: superset (never decremented — resolved entries just go
+        #: stale), popped wholesale when the uploader departs.
+        self._pend_by_up: Dict[int, Set[int]] = {}
 
         # Tit-for-tat receipt windows (bittorrent / propshare only).
         self.last_rcv: List[Dict[int, int]] = [{} for _ in range(n_slots)]
@@ -373,7 +347,7 @@ class VectorSimulation:
         self.members: Dict[int, int] = {}           # id -> slot, insertion order
         self.active: List[int] = []                 # sorted active ids
         self.vset: Dict[int, Set[int]] = {}
-        self.varr: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self.varr: Dict[int, Tuple[List[int], List[int]]] = {}
         self._static_views: Dict[int, Set[int]] = {}
         self._turn: Optional[_Turn] = None
         self._coalition: List[int] = []             # coalition slots
@@ -392,8 +366,6 @@ class VectorSimulation:
             self.usable[s] = self._full_mask
             self.held[s] = self._full_mask
             self.cnt[s] = config.n_pieces
-            self.W[s] = self._mask_words(self._full_mask)
-            self.UW[s] = self.W[s]
             self.budgets[s] = UploadBudget(config.seeder_capacity)
             self.srng[s] = self.streams.stream(f"seeder:{index}")
             self.kern[s] = run_spray
@@ -504,26 +476,6 @@ class VectorSimulation:
     # ------------------------------------------------------------------
     # Views and membership (mirrors Swarm)
     # ------------------------------------------------------------------
-    def _mask_words(self, mask: int) -> np.ndarray:
-        return np.frombuffer(mask.to_bytes(self._n_bytes, "little"),
-                             dtype="<u8")
-
-    def _feas_sel(self, u: int, slots: np.ndarray, n: int) -> np.ndarray:
-        """Boolean mask over ``slots``: who needs ≥1 usable piece of ``u``.
-
-        A target is needy iff ``usable_u & ~held_t != 0``, i.e. its
-        held-words ANDed with the uploader's usable-words differ from
-        the usable-words somewhere. Runs through preallocated scratch
-        so the hot query allocates only its (n,) result.
-        """
-        g = self._gbuf[:n]
-        np.take(self.W, slots, axis=0, out=g, mode="clip")
-        wp = self.UW[u]
-        np.bitwise_and(g, wp, out=g)
-        ne = self._ebuf[:n]
-        np.not_equal(g, wp, out=ne)
-        return np.logical_or.reduce(ne, axis=1)
-
     def _add_member(self, s: int) -> None:
         pid = self.ids[s]
         self.members[pid] = s
@@ -588,23 +540,20 @@ class VectorSimulation:
             # whitewash); its slot mapping outlives the id.
             self._wake(int(self.slot_np[pid]))
 
-    def _view(self, pid: int) -> Tuple[np.ndarray, np.ndarray, list, list]:
-        """Sorted view-member ids and slots, as arrays and as lists.
+    def _view(self, pid: int) -> Tuple[List[int], List[int]]:
+        """Sorted view-member ids and their slots, as parallel lists.
 
-        Lazily rebuilt after view changes. Small views run discovery
-        as a plain bigint loop over the lists (cheaper than numpy
-        dispatch below ``_SMALL_VIEW`` members); large views — the
-        seeders' large-view attackers' — use the array form.
+        Lazily rebuilt after view changes (every connect/disconnect
+        drops the cached pair).
         """
         hit = self.varr.get(pid)
         if hit is None:
             vs = self.vset.get(pid)
             if not vs:
-                hit = (_EMPTY_IDS, _EMPTY_IDS, [], [])
+                hit = ([], [])
             else:
-                ids = np.array(sorted(vs), dtype=np.int64)
-                slots = self.slot_np[ids]
-                hit = (ids, slots, ids.tolist(), slots.tolist())
+                vids = sorted(vs)
+                hit = (vids, self.slot_np[vids].tolist())
             self.varr[pid] = hit
         return hit
 
@@ -647,12 +596,7 @@ class VectorSimulation:
     # ------------------------------------------------------------------
     def _needy_list(self, u: int) -> List[int]:
         """Ascending needy view-member ids for uploader ``u``."""
-        ids, slots, vids, vslots = self._view(self.ids[u])
-        n = len(vids)
-        if n == 0:
-            return []
-        if n > _SMALL_VIEW:
-            return ids[self._feas_sel(u, slots, n)].tolist()
+        vids, vslots = self._view(self.ids[u])
         uw = self.usable[u]
         held = self.held
         # Interest test without the bigint invert: the target lacks
@@ -679,42 +623,35 @@ class VectorSimulation:
     # ------------------------------------------------------------------
     # Transfer primitives (mirror runner.transfer_plain and friends)
     # ------------------------------------------------------------------
+    def _pick(self, n: int) -> int:
+        """Piece-choice index draw in ``[0, n)``: ``rng.choice``'s draw
+        on the "pieces" stream (the fast lineage overrides this)."""
+        return _randbelow(self._piece_grb, n)
+
     def _choose_piece(self, candidate_mask: int) -> Optional[int]:
-        """``rarest_first`` / random policy, draw-identical, inlined."""
+        """``rarest_first`` / random policy over ``candidate_mask``.
+
+        A random pick always draws (``rng.choice`` does, even over one
+        candidate); a unique rarest piece draws nothing.
+        """
         if not candidate_mask:
             return None
         if self._piece_random:
             lst = bits_to_list(candidate_mask)
-            n = len(lst)
-            grb = self._piece_grb
-            k = n.bit_length()
-            r = grb(k)
-            while r >= n:
-                r = grb(k)
-            return lst[r]
+            return lst[self._pick(len(lst))]
         tie = self._rarest(candidate_mask)
         if not tie:
             return None
         if tie & (tie - 1) == 0:  # single bit: unique rarest piece
             return tie.bit_length() - 1
         lst = bits_to_list(tie)
-        n = len(lst)
-        grb = self._piece_grb
-        k = n.bit_length()
-        r = grb(k)
-        while r >= n:
-            r = grb(k)
-        return lst[r]
+        return lst[self._pick(len(lst))]
 
     def _add_usable(self, s: int, piece: int) -> None:
         bit = 1 << piece
         self.usable[s] |= bit
         self.held[s] |= bit
         self.cnt[s] += 1
-        idx = s * self._n_words + (piece >> 6)
-        pb = 1 << (piece & 63)
-        self._Wf[idx] |= pb
-        self._UWf[idx] |= pb
         self._avail_add(piece)
 
     def _mark_done(self, s: int) -> None:
@@ -809,10 +746,6 @@ class VectorSimulation:
         self.held[ts] |= bit
         cnt = self.cnt[ts] + 1
         self.cnt[ts] = cnt
-        idx = ts * self._n_words + (piece >> 6)
-        pb = 1 << (piece & 63)
-        self._Wf[idx] |= pb
-        self._UWf[idx] |= pb
         self._avail_add(piece)
         # _note_delivery: a landing send recovers a previous loss.
         if self._lost:
@@ -842,13 +775,20 @@ class VectorSimulation:
         if turn is not None and turn.uslot == u:
             needy = turn.needy
             if needy is not None and cand == bit:
-                if j is None:
-                    j = bisect_left(needy, target_id)
-                    if j < len(needy) and needy[j] == target_id:
-                        needy.pop(j)
-                else:
-                    needy.pop(j)
+                self._leave_pool(u, needy, j, target_id, ts)
         return True
+
+    def _leave_pool(self, u: int, needy: List[int], j: Optional[int],
+                    target_id: int, ts: int) -> None:
+        """Remove served target ``target_id`` (slot ``ts``) from
+        uploader ``u``'s needy pool, at index ``j`` when the caller
+        drew it. Parity pools are ascending id lists, so the pop keeps
+        their order (the fast lineage overrides this)."""
+        if j is None:
+            j = bisect_left(needy, target_id)
+            if j == len(needy) or needy[j] != target_id:
+                return
+        needy.pop(j)
 
     # ------------------------------------------------------------------
     # T-Chain mechanics (mirror the runner's tchain_* family)
@@ -866,46 +806,40 @@ class VectorSimulation:
         created = self.round_index
         pd[piece] = (uploader_id, designated, created)
         self.held[ts] |= 1 << piece
-        self._Wf[ts * self._n_words + (piece >> 6)] |= 1 << (piece & 63)
-        self._pcnt[ts] += 1
+        ups = self._pend_by_up.get(uploader_id)
+        if ups is None:
+            self._pend_by_up[uploader_id] = {ts}
+        else:
+            ups.add(ts)
         if created < self.poldest[ts]:
             self.poldest[ts] = created
-            self._poldest_arr[ts] = created
 
     def _pop_pending(self, s: int, piece: int) -> Tuple[int, Optional[int], int]:
         pd = self.pend[s]
         entry = pd.pop(piece)
         if not pd:
             self._pend_nonempty -= 1
-        self._pcnt[s] -= 1
         if entry[2] == self.poldest[s]:
-            oldest = min((e[2] for e in pd.values()), default=_NO_PENDING)
-            self.poldest[s] = oldest
-            self._poldest_arr[s] = oldest
+            self.poldest[s] = min((e[2] for e in pd.values()),
+                                  default=_NO_PENDING)
         return entry
 
     def _drop_pending(self, s: int, piece: int) -> None:
         self._pop_pending(s, piece)
         self.held[s] &= ~(1 << piece)
-        self._Wf[s * self._n_words + (piece >> 6)] &= ~(1 << (piece & 63))
 
     def _unlock(self, s: int, piece: int) -> None:
         """Key released: pending piece becomes usable (runner._unlock)."""
         self._pop_pending(s, piece)
         self._wake(s)
-        # The held bit (and its W mirror) stays set; only usable gains.
+        # The held bit stays set; only usable gains.
         self.usable[s] |= 1 << piece
-        self._UWf[s * self._n_words + (piece >> 6)] |= 1 << (piece & 63)
         self.cnt[s] += 1
         self._avail_add(piece)
         self.down[s] += 1
         if self.free[s]:
             self._c_fr += 1  # record_unlock, batched
         self._piece_gained(s)
-
-    def _tchain_draw(self, m: int) -> int:
-        """One index draw on the tchain stream (fast lineage overrides)."""
-        return _randbelow(self._tchain_grb, m)
 
     def _shuffled_candidates(self, candidates: List[int]) -> Iterable[int]:
         """``candidates`` in uniform-random order.
@@ -920,26 +854,13 @@ class VectorSimulation:
 
     def _choose_designated(self, u: int, target_id: int,
                            piece: int) -> Optional[int]:
-        ids, slots, vids, vslots = self._view(self.ids[u])
-        n = len(vids)
-        if n == 0:
-            return None
-        if n > _SMALL_VIEW:
-            pb = _U64_BITS[piece & 63]
-            ok = (self.W[slots, piece >> 6] & pb) == 0
-            options = ids[ok]
-            options = options[options != target_id]
-            m = options.size
-            if m == 0:
-                return None
-            return int(options[self._tchain_draw(m)])
+        vids, vslots = self._view(self.ids[u])
         held = self.held
-        options_l = [p for p, t in zip(vids, vslots)
-                     if not (held[t] >> piece) & 1 and p != target_id]
-        m = len(options_l)
-        if m == 0:
+        options = [p for p, t in zip(vids, vslots)
+                   if not (held[t] >> piece) & 1 and p != target_id]
+        if not options:
             return None
-        return options_l[self._tchain_draw(m)]
+        return options[_randbelow(self._tchain_grb, len(options))]
 
     def _deliver_encrypted(self, u: int, ts: int, piece: int,
                            from_seeder: bool) -> bool:
@@ -1019,19 +940,11 @@ class VectorSimulation:
         """Seeding-phase candidates: needy, non-blacklisted view members.
 
         Identical to the discovery inside ``runner.tchain_seed_random``;
-        the T-Chain kernel computes it once per turn and repairs the
+        the parity T-Chain kernel computes it once per turn and repairs the
         single seeded target after each successful seed (a seed mutates
         no other peer's eligibility).
         """
-        ids, slots, vids, vslots = self._view(self.ids[u])
-        n = len(vids)
-        if n == 0:
-            return []
-        if n > _SMALL_VIEW:
-            sel = self._feas_sel(u, slots, n)
-            sel &= self.pcnt_np[slots] < self._max_pending
-            sel &= self.poldest_np[slots] > (self.round_index - self._patience)
-            return ids[sel].tolist()
+        vids, vslots = self._view(self.ids[u])
         uw = self.usable[u]
         held = self.held
         pend = self.pend
@@ -1042,17 +955,6 @@ class VectorSimulation:
                 if held[t] & uw != uw and len(pend[t]) < maxp
                 and poldest[t] > horizon]
 
-    def tchain_seed_random(self, u: int, rng: random.Random) -> bool:
-        """One encrypted seed to a shuffled needy candidate (uncached
-        mirror of ``runner.tchain_seed_random``; fulfil path 3 uses the
-        same shape inline)."""
-        candidates = self.tchain_elig(u)
-        _shuffle(candidates, rng.getrandbits)
-        for target_id in candidates:
-            if self.tchain_seed(u, target_id):
-                return True
-        return False
-
     def _forward_target(self, u: int, uploader_id: int,
                         designated: Optional[int],
                         piece: int) -> Optional[int]:
@@ -1061,34 +963,19 @@ class VectorSimulation:
             if (ds is not None and not (self.held[ds] >> piece) & 1
                     and not self._blacklisted(ds)):
                 return designated
-        ids, slots, vids, vslots = self._view(self.ids[u])
-        n = len(vids)
-        if n == 0:
-            return None
-        if n > _SMALL_VIEW:
-            pb = _U64_BITS[piece & 63]
-            ok = (self.W[slots, piece >> 6] & pb) == 0
-            ok &= self.pcnt_np[slots] < self._max_pending
-            ok &= self.poldest_np[slots] > (self.round_index - self._patience)
-            options = ids[ok]
-            options = options[options != uploader_id]
-            m = options.size
-            if m == 0:
-                return None
-            return int(options[self._tchain_draw(m)])
+        vids, vslots = self._view(self.ids[u])
         held = self.held
         pend = self.pend
         maxp = self._max_pending
         horizon = self.round_index - self._patience
         poldest = self.poldest
-        options_l = [p for p, t in zip(vids, vslots)
-                     if not (held[t] >> piece) & 1
-                     and len(pend[t]) < maxp and poldest[t] > horizon
-                     and p != uploader_id]
-        m = len(options_l)
-        if m == 0:
+        options = [p for p, t in zip(vids, vslots)
+                   if not (held[t] >> piece) & 1
+                   and len(pend[t]) < maxp and poldest[t] > horizon
+                   and p != uploader_id]
+        if not options:
             return None
-        return options_l[self._tchain_draw(m)]
+        return options[_randbelow(self._tchain_grb, len(options))]
 
     def tchain_fulfill(self, u: int, piece: int) -> bool:
         """Reciprocate for one pending piece (runner.tchain_fulfill)."""
@@ -1235,10 +1122,22 @@ class VectorSimulation:
         self._rcv_dirty = set()
 
     def _drop_orphaned(self, departed_id: int) -> None:
-        """Keys held by a departed uploader are lost: drop those pieces."""
-        if self._pend_nonempty == 0:
+        """Keys held by a departed uploader are lost: drop those pieces.
+
+        The reverse index narrows the scan to the slots the uploader
+        ever delivered to; stale entries (resolved or departed
+        targets) fall out via the membership and pending checks. The
+        drops are per slot and the orphan tally is a sum, so this
+        matches the object engine's all-peers scan.
+        """
+        slots = self._pend_by_up.pop(departed_id, None)
+        if slots is None or self._pend_nonempty == 0:
             return
-        for pid, s in list(self.members.items()):
+        members = self.members
+        ids = self.ids
+        for s in slots:
+            if members.get(ids[s]) != s:
+                continue
             pd = self.pend[s]
             if not pd:
                 continue
@@ -1527,19 +1426,23 @@ class VectorFastSimulation(VectorSimulation):
 
     Same struct-of-arrays state, round phases, transfer primitives and
     fault injection as :class:`VectorSimulation` — the overrides below
-    swap only *where randomness comes from* and *how much of it is
-    drawn*:
+    swap only *where randomness comes from*, *how much of it is drawn*
+    and *how needy pools are kept*:
 
-    * in-round decision draws (piece picks, candidate choices,
-      optimism coins, turn-order shuffles) come from one buffered
-      PCG64 stream (:class:`_FastSampler`) instead of replaying the
-      object engine's Mersenne streams draw-for-draw;
+    * in-round decision draws (piece picks via ``_pick``, candidate
+      choices, optimism coins, turn-order shuffles) come from one
+      buffered PCG64 stream (:class:`_FastSampler`) instead of
+      replaying the object engine's Mersenne streams draw-for-draw,
+      and a pick among one option draws nothing;
+    * needy pools persist across turns as unordered slot supersets
+      (``_pool_for``), so a served target leaves by swap-pop onto the
+      evicted list (``_leave_pool``);
     * kernels use the batched variants in
       :mod:`repro.algorithms.vector_kernels` (``FAST_KERNELS``), which
       drop draw-parity bookkeeping: T-Chain seeds via a lazy partial
       Fisher-Yates instead of a full shuffle per send, FairTorrent
-      buckets its deficit levels once per turn, Reputation caches its
-      weight vector across sends.
+      swap-pops its tie picks, Reputation caches its weight vector
+      across sends.
 
     Results are *distributionally* equivalent to the object engine
     (enforced by ``tests/integration/test_distributional_parity.py``)
@@ -1582,12 +1485,6 @@ class VectorFastSimulation(VectorSimulation):
         # (detected by the length) invalidates the pair.
         self._plen: List[int] = [0] * n_slots
         self._pand: List[int] = [-1] * n_slots
-        # Reverse pending index for _drop_orphaned: uploader id -> the
-        # slots it has ever delivered an encrypted piece to. A superset
-        # (never decremented — resolved entries just go stale), popped
-        # wholesale when the uploader departs.
-        self._pend_by_up: Dict[int, set] = {}
-        self._install_fast_paths()
 
     def _select_kernels(self):
         from repro.algorithms.vector_kernels import (
@@ -1598,8 +1495,8 @@ class VectorFastSimulation(VectorSimulation):
         self._fs.shuffle(active)
         return active
 
-    def _tchain_draw(self, m: int) -> int:
-        return self._fs.randbelow(m)
+    def _pick(self, n: int) -> int:
+        return self._fs.randbelow(n) if n > 1 else 0
 
     def _process_crashes(self) -> None:
         # Geometric gap sampling over the candidate list: the skip to
@@ -1656,7 +1553,7 @@ class VectorFastSimulation(VectorSimulation):
         # budget guards the low-acceptance tail (late game, when most
         # of the view already holds the piece); the fallback scan is
         # the parity engine's exact enumeration.
-        _, _, vids, vslots = self._view(self.ids[u])
+        vids, vslots = self._view(self.ids[u])
         n = len(vids)
         if n == 0:
             return None
@@ -1682,7 +1579,7 @@ class VectorFastSimulation(VectorSimulation):
             if (ds is not None and not (self.held[ds] >> piece) & 1
                     and not self._blacklisted(ds)):
                 return designated
-        _, _, vids, vslots = self._view(self.ids[u])
+        vids, vslots = self._view(self.ids[u])
         n = len(vids)
         if n == 0:
             return None
@@ -1752,7 +1649,7 @@ class VectorFastSimulation(VectorSimulation):
             pool: List[int] = []
             out: List[int] = []
             pand = -1
-            for t in hit[3]:
+            for t in hit[1]:
                 h = held[t]
                 if h & uw != uw:
                     pool.append(t)
@@ -1789,16 +1686,6 @@ class VectorFastSimulation(VectorSimulation):
             self._puw[u] = uw
         return self._pl[u]
 
-    def _needy_list(self, u: int) -> List[int]:
-        # Always the bigint listcomp, never ``_feas_sel``: the fast
-        # engine does not maintain the W/UW numpy mirrors (see
-        # _install_fast_paths), so the numpy dispatch would read
-        # stale rows.
-        _, _, vids, vslots = self._view(self.ids[u])
-        uw = self.usable[u]
-        held = self.held
-        return [p for p, t in zip(vids, vslots) if held[t] & uw != uw]
-
     def begin_turn(self, u: int) -> _Turn:
         turn = _Turn(u, self._pool_for(u))
         self._turn = turn
@@ -1809,456 +1696,17 @@ class VectorFastSimulation(VectorSimulation):
         turn.needy = needy
         return needy
 
-    def _avail_shift_mask(self, mask: int, delta: int) -> None:
-        """Move every piece in ``mask`` up or down one availability
-        level — per-*level* bigint transfers instead of the base
-        engine's per-piece ``add_piece``/``remove_piece`` calls. The
-        ``moved`` accumulator keeps a piece from being shifted twice
-        when its destination level comes up later in the scan."""
-        am = self.availability
-        counts = am._counts
-        buckets = am._buckets
-        levels = am._levels
-        moved = 0
-        for level in levels[:]:
-            hit = buckets[level] & mask & ~moved
-            if not hit:
-                continue
-            moved |= hit
-            remaining = buckets[level] & ~hit
-            if remaining:
-                buckets[level] = remaining
-            else:
-                del buckets[level]
-                levels.pop(bisect_left(levels, level))
-            new = level + delta
-            if new in buckets:
-                buckets[new] |= hit
-            else:
-                buckets[new] = hit
-                insort(levels, new)
-            for p in bits_to_list(hit):
-                counts[p] = new
-
-    def _add_member(self, s: int) -> None:
-        pid = self.ids[s]
-        self.members[pid] = s
-        insort(self.active, pid)
-        if self.usable[s]:
-            self._avail_shift_mask(self.usable[s], 1)
-        self._build_view(s)
-
-    def _remove_member(self, pid: int) -> None:
-        s = self.members.pop(pid)
-        self.active.pop(bisect_left(self.active, pid))
-        if self.usable[s]:
-            self._avail_shift_mask(self.usable[s], -1)
-        self._disconnect_all(pid)
-
-    def _drop_orphaned(self, departed_id: int) -> None:
-        # The base engine scans every member's pending dict; here the
-        # reverse index narrows the scan to the slots the departed
-        # uploader ever delivered to. Stale index entries (resolved or
-        # departed targets) fall out via the membership and pending
-        # checks — the result set is identical to the full scan's.
-        slots = self._pend_by_up.pop(departed_id, None)
-        if slots is None or self._pend_nonempty == 0:
-            return
-        members = self.members
-        ids = self.ids
-        pend = self.pend
-        for s in slots:
-            if members.get(ids[s]) != s:
-                continue
-            pd = pend[s]
-            if not pd:
-                continue
-            orphaned = [piece for piece, e in pd.items()
-                        if e[0] == departed_id]
-            for piece in orphaned:
-                self._drop_pending(s, piece)
-            if orphaned:
-                self.collector.record_orphaned_obligations(len(orphaned))
-
-    # ------------------------------------------------------------------
-    # Specialised hot paths
-    # ------------------------------------------------------------------
-    def _install_fast_paths(self) -> None:
-        """Shadow the shared transfer primitives with closures.
-
-        The fast lineage has no draw-parity contract to honour, so its
-        send/unlock/deliver paths can bind every piece of hot engine
-        state into closure cells (one ``LOAD_DEREF`` instead of two
-        dict lookups per access) and inline the availability-map and
-        piece-choice bodies. Only state the engine *rebinds* during a
-        run (``_turn``, ``now``, the batched metric counters, the
-        receipt dirty-set) is read through ``sim`` — everything
-        captured below is mutated in place, never replaced.
-
-        These paths also skip the W/UW/pcnt/poldest numpy mirrors
-        entirely: their only readers are the ``_feas_sel`` /
-        ``pcnt_np`` / ``poldest_np`` large-view branches, which this
-        class never reaches (``_needy_list``, ``_choose_designated``
-        and ``_forward_target`` are overridden with bigint paths, and
-        the fast kernels never call ``tchain_elig``). The bigint
-        columns and the ``pend`` / ``poldest`` structures stay exact.
-        """
-        sim = self
-        members = self.members
-        ids = self.ids
-        seeder = self.seeder
-        free = self.free
-        usable = self.usable
-        held = self.held
-        cnt = self.cnt
-        budgets = self.budgets
-        rep = self.rep
-        up = self.up
-        raw = self.raw
-        down = self.down
-        boot = self.boot
-        comp = self.comp
-        done = self.done
-        Rf = self._Rf
-        Df = self._Df
-        npieces = self.n_pieces
-        ns = self.n_slots
-        use_rmat = self._use_rmat
-        need_rcv = self._need_rcv
-        is_rec = self._is_rec
-        need_dev = self._need_dev
-        track = self._track_rcv
-        this_rcv = self.this_rcv
-        rcv_d = self.rcv_d
-        upl_d = self.upl_d
-        cred = self.cred
-        lineage = self.lineage
-        lost = self._lost
-        loss_on = self._loss_on
-        delay_on = self._delay_on
-        delay_rounds = self._delay_rounds
-        delayed_reports = self._delayed_reports
-        faults = self.faults
-        collector = self.collector
-        counts = self.availability._counts
-        buckets = self.availability._buckets
-        levels = self.availability._levels
-        piece_random = self._piece_random
-        rb = self._fs.randbelow
-        pout = self._pout
-        pbu = self._pend_by_up
-        pend = self.pend
-        poldest = self.poldest
-        slept = self._slept
-
-        def choose(cand: int) -> Optional[int]:
-            if not cand:
-                return None
-            if piece_random:
-                lst = bits_to_list(cand)
-                return lst[rb(len(lst))]
-            # Hybrid rarest-first: the level scan costs one bigint AND
-            # per availability level probed, and probes grow as the
-            # candidate set shrinks (the rare pieces are the ones the
-            # target already has). Sparse sets go the other way round
-            # — enumerate the candidates and min-scan their counts.
-            if cand.bit_count() <= 32:
-                bc = 1 << 30
-                ties: List[int] = []
-                for p in bits_to_list(cand):
-                    c = counts[p]
-                    if c < bc:
-                        bc = c
-                        ties = [p]
-                    elif c == bc:
-                        ties.append(p)
-                return ties[rb(len(ties))] if len(ties) > 1 else ties[0]
-            tie = 0
-            for level in levels:
-                tie = buckets[level] & cand
-                if tie:
-                    break
-            if not tie:
-                return None
-            if tie & (tie - 1):
-                lst = bits_to_list(tie)
-                return lst[rb(len(lst))]
-            return tie.bit_length() - 1
-
-        def avail_add(piece: int, bit: int) -> None:
-            old = counts[piece]
-            new = old + 1
-            counts[piece] = new
-            remaining = buckets[old] & ~bit
-            if remaining:
-                buckets[old] = remaining
-            else:
-                del buckets[old]
-                levels.pop(bisect_left(levels, old))
-            if new in buckets:
-                buckets[new] |= bit
-            else:
-                buckets[new] = bit
-                insort(levels, new)
-
-        def piece_gained(ts: int, c: int) -> None:
-            if boot[ts] is None:
-                boot[ts] = sim.now
-                sim.nboot += 1
-            if c == npieces and comp[ts] is None:
-                comp[ts] = sim.now
-                sim.ncomp += 1
-                if not done[ts]:
-                    done[ts] = True
-                    if not free[ts] and not seeder[ts]:
-                        sim.unfinished -= 1
-
-        def fast_send(u: int, target_id: int,
-                      j: Optional[int] = None) -> bool:
-            ts = members.get(target_id)
-            if ts is None or seeder[ts]:
-                return False
-            c = cnt[ts]
-            if c == npieces:
-                return False
-            uid = ids[u]
-            if target_id == uid:
-                return False
-            cand = usable[u] & ~held[ts]
-            if not cand:
-                return False
-            # Piece choice, inlined (same body as ``choose``).
-            if piece_random:
-                lst = bits_to_list(cand)
-                piece = lst[rb(len(lst))] if len(lst) > 1 else lst[0]
-            elif cand.bit_count() <= 32:
-                bc = 1 << 30
-                ties = []
-                for p in bits_to_list(cand):
-                    ac = counts[p]
-                    if ac < bc:
-                        bc = ac
-                        ties = [p]
-                    elif ac == bc:
-                        ties.append(p)
-                piece = ties[rb(len(ties))] if len(ties) > 1 else ties[0]
-            else:
-                tie = 0
-                for level in levels:
-                    tie = buckets[level] & cand
-                    if tie:
-                        break
-                if tie & (tie - 1):
-                    lst = bits_to_list(tie)
-                    piece = lst[rb(len(lst))]
-                elif tie:
-                    piece = tie.bit_length() - 1
-                else:
-                    return False
-            b = budgets[u]
-            b._credits_num -= b._den
-            b.total_consumed += 1
-            if loss_on and faults.transfer_lost():
-                collector.record_lost_transfer()
-                lost.add((lineage[ts], piece))
-                return False
-            if slept[ts] > 0:
-                slept[ts] = -slept[ts]  # _wake, inlined
-            up[u] += 1
-            from_seeder = seeder[u]
-            if not from_seeder:
-                if delay_on:
-                    delayed_reports.append(
-                        (sim.round_index + delay_rounds, lineage[u], 1.0))
-                    collector.record_delayed_report()
-                else:
-                    rep[uid] += 1.0
-            if use_rmat:
-                Rf[ts * ns + u] += 1
-            elif need_rcv:
-                d = rcv_d[ts]
-                nv = d.get(uid, 0) + 1
-                d[uid] = nv
-                if is_rec:
-                    if nv > upl_d[ts].get(uid, 0):
-                        cred[ts].add(uid)
-                    du = upl_d[u]
-                    nu = du.get(target_id, 0) + 1
-                    du[target_id] = nu
-                    if nu >= rcv_d[u].get(target_id, 0):
-                        cred[u].discard(target_id)
-            if need_dev:
-                Df[u * ns + ts] += 1
-                Df[ts * ns + u] -= 1
-            if track:
-                d = this_rcv[ts]
-                d[uid] = d.get(uid, 0) + 1
-                sim._rcv_dirty.add(ts)
-            raw[ts] += 1
-            down[ts] += 1
-            bit = 1 << piece
-            usable[ts] |= bit
-            held[ts] |= bit
-            c += 1
-            cnt[ts] = c
-            # Availability map, inlined (same body as ``avail_add``).
-            old = counts[piece]
-            new = old + 1
-            counts[piece] = new
-            remaining = buckets[old] & ~bit
-            if remaining:
-                buckets[old] = remaining
-            else:
-                del buckets[old]
-                levels.pop(bisect_left(levels, old))
-            if new in buckets:
-                buckets[new] |= bit
-            else:
-                buckets[new] = bit
-                insort(levels, new)
-            if lost:
-                key = (lineage[ts], piece)
-                if key in lost:
-                    lost.discard(key)
-                    collector.record_retried_transfer()
-            sim._c_tot += 1
-            if not from_seeder:
-                sim._c_peer += 1
-                if free[ts]:
-                    sim._c_fr += 1
-            # piece_gained, inlined.
-            if boot[ts] is None:
-                boot[ts] = sim.now
-                sim.nboot += 1
-            if c == npieces and comp[ts] is None:
-                comp[ts] = sim.now
-                sim.ncomp += 1
-                if not done[ts]:
-                    done[ts] = True
-                    if not free[ts] and not seeder[ts]:
-                        sim.unfinished -= 1
-            # Pool repair: the target leaves the pool iff the piece
-            # just sent was its last interesting one; it goes to the
-            # evicted list so a usable-set change can re-admit it —
-            # unless it just completed, in which case it never can.
-            turn = sim._turn
-            if turn is not None and turn.uslot == u:
-                needy = turn.needy
-                if needy is not None and cand == bit:
-                    if j is None:
-                        try:
-                            j = needy.index(ts)
-                        except ValueError:
-                            j = None
-                    if j is not None:
-                        needy[j] = needy[-1]
-                        needy.pop()
-                        if c != npieces:
-                            pout[u].append(ts)
-            return True
-
-        def fast_unlock(s: int, piece: int) -> None:
-            pd = pend[s]
-            entry = pd.pop(piece)
-            if not pd:
-                sim._pend_nonempty -= 1
-            if entry[2] == poldest[s]:
-                poldest[s] = min((e[2] for e in pd.values()),
-                                 default=_NO_PENDING)
-            if slept[s] > 0:
-                slept[s] = -slept[s]
-            bit = 1 << piece
-            usable[s] |= bit
-            c = cnt[s] + 1
-            cnt[s] = c
-            avail_add(piece, bit)
-            down[s] += 1
-            if free[s]:
-                sim._c_fr += 1  # record_unlock, batched
-            piece_gained(s, c)
-
-        def fast_deliver(u: int, ts: int, piece: int,
-                         from_seeder: bool) -> bool:
-            b = budgets[u]
-            b._credits_num -= b._den
-            b.total_consumed += 1
-            if loss_on and faults.transfer_lost():
-                collector.record_lost_transfer()
-                lost.add((lineage[ts], piece))
-                return False
-            if slept[ts] > 0:
-                slept[ts] = -slept[ts]
-            uid = ids[u]
-            up[u] += 1
-            if not from_seeder:
-                if delay_on:
-                    delayed_reports.append(
-                        (sim.round_index + delay_rounds, lineage[u], 1.0))
-                    collector.record_delayed_report()
-                else:
-                    rep[uid] += 1.0
-            raw[ts] += 1
-            if lost:
-                key = (lineage[ts], piece)
-                if key in lost:
-                    lost.discard(key)
-                    collector.record_retried_transfer()
-            designated: Optional[int] = None
-            if not (usable[ts] & ~held[u]):
-                designated = sim._choose_designated(u, ids[ts], piece)
-            sim._c_tot += 1
-            if not from_seeder:
-                sim._c_peer += 1
-            if (sim._collusion and free[ts] and designated is not None
-                    and designated in sim.colluders[ts]):
-                sim._add_usable(ts, piece)
-                down[ts] += 1
-                sim._c_fr += 1
-                sim._piece_gained(ts)
-            else:
-                # _add_pending, inlined.
-                pd = pend[ts]
-                if not pd:
-                    sim._pend_nonempty += 1
-                created = sim.round_index
-                pd[piece] = (uid, designated, created)
-                held[ts] |= 1 << piece
-                ups = pbu.get(uid)
-                if ups is None:
-                    pbu[uid] = {ts}
-                else:
-                    ups.add(ts)
-                if created < poldest[ts]:
-                    poldest[ts] = created
-                if boot[ts] is None:
-                    boot[ts] = sim.now
-                    sim.nboot += 1
-            return True
-
-        maxp = self._max_pending
-        patience = self._patience
-
-        def fast_tchain_seed(u: int, target_id: int) -> bool:
-            # Base tchain_seed with the budget probe, blacklist test
-            # and delivery call flattened into one frame.
-            b = budgets[u]
-            if b._credits_num < b._den:
-                return False
-            ts = members.get(target_id)
-            if ts is None or seeder[ts] or cnt[ts] == npieces:
-                return False
-            if target_id == ids[u]:
-                return False
-            if (len(pend[ts]) >= maxp
-                    or poldest[ts] <= sim.round_index - patience):
-                return False
-            piece = choose(usable[u] & ~held[ts])
-            if piece is None:
-                return False
-            return fast_deliver(u, ts, piece, seeder[u])
-
-        self._choose_piece = choose
-        self._plain_send = fast_send
-        self._unlock = fast_unlock
-        self._deliver_encrypted = fast_deliver
-        self.tchain_seed = fast_tchain_seed
+    def _leave_pool(self, u: int, needy: List[int], j: Optional[int],
+                    target_id: int, ts: int) -> None:
+        # Pools hold unordered slots: swap-pop the target, and park it
+        # on the evicted list so a usable-set change can re-admit it —
+        # unless it just completed, in which case it never can.
+        if j is None:
+            try:
+                j = needy.index(ts)
+            except ValueError:
+                return
+        needy[j] = needy[-1]
+        needy.pop()
+        if self.cnt[ts] != self.n_pieces:
+            self._pout[u].append(ts)

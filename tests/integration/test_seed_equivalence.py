@@ -29,6 +29,7 @@ from repro.sim.config import (AttackConfig, SimulationConfig,
 from repro.sim.faults import FaultConfig
 from repro.sim.metrics import metrics_digest
 from repro.sim.runner import run_simulation
+from tests.sim.test_vector_backend import ALL_FAULTS, large_view_config
 
 #: Captured from the pre-rewrite implementation (sorted tie-break
 #: applied) under the config below; the current code must match.
@@ -50,8 +51,11 @@ PINNED_DIGESTS = {
 
 #: ``fast-v1`` lineage pins: the ``vector-fast`` engine has no draw
 #: parity with the object engine, so its own digests are pinned here
-#: (captured before the array engines' dormant turns landed) to catch
-#: any engine change that moves its outcomes. Keyed by the runs in
+#: to catch any engine change that moves its outcomes. The first three
+#: were captured before the array engines' dormant turns landed; the
+#: large-view run before the fast engine's send paths were folded
+#: into the shared ones; the random-pieces run after a pick among one
+#: candidate piece stopped drawing. Keyed by the runs in
 #: ``fast_pin_config``.
 FAST_PINNED_DIGESTS = {
     "reciprocity-whitewash":
@@ -60,7 +64,14 @@ FAST_PINNED_DIGESTS = {
         "f51243609c805749e1add1dab13d5bef6cc83c2d61174fcd4192b3b70219423a",
     "altruism-all-faults":
         "1ece6b11f055da7a87bceb3f6b0675b60a1f7ca0754c20dee80cf5324c5aa064",
+    "tchain-large-view-faults":
+        "33c02d0f5b2f6e5c4dde829a95a46c6132afad511b1c181a96ab9575ea04ec6b",
+    "tchain-random-pieces":
+        "5a106e03ca794ce1fc8bc4f69c064285850738c39bca79b39597a4b113a68f3c",
 }
+
+#: Pinned fast runs that are meant to include an idle tail to the cap.
+FAST_PINS_TO_CAP = ("reciprocity-whitewash", "tchain-stall")
 
 
 def equivalence_config(algorithm: Algorithm) -> SimulationConfig:
@@ -228,6 +239,16 @@ def fast_pin_config(name: str) -> SimulationConfig:
             algorithm=Algorithm.TCHAIN, n_users=200, n_pieces=64,
             neighbor_count=40, seeder_capacity=32,
             flash_crowd_duration=10, max_rounds=600, seed=3)
+    elif name == "tchain-large-view-faults":
+        # Large-view colluders under all five fault axes: designated
+        # and forward targets, unlocks, orphan drops and expiry on the
+        # shared send paths, seeders spraying over swarm-wide views.
+        config = large_view_config(Algorithm.TCHAIN, ALL_FAULTS)
+    elif name == "tchain-random-pieces":
+        config = SimulationConfig(
+            algorithm=Algorithm.TCHAIN, n_users=60, n_pieces=24,
+            neighbor_count=12, max_rounds=200, piece_selection="random",
+            seed=3)
     else:
         config = faulted_config(Algorithm.ALTRUISM, FAULT_AXES["combined"])
     return config.with_backend("vector-fast")
@@ -240,6 +261,5 @@ class TestFastLineagePinnedDigests:
         metrics = run_simulation(config).metrics
         assert metrics.digest_lineage == "fast-v1"
         assert metrics_digest(metrics) == FAST_PINNED_DIGESTS[name]
-        if name != "altruism-all-faults":
-            # These two are meant to include an idle tail to the cap.
+        if name in FAST_PINS_TO_CAP:
             assert metrics.rounds_run == config.max_rounds

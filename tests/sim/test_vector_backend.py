@@ -5,8 +5,8 @@ The pinned-digest and fuzz parity checks live in
 vector backend — config validation and serialisation, the
 ``run_simulation`` dispatch with its object-engine fallback, and
 parity on the specific feature axes (arrival process, topology,
-piece policy, whitewashing, lingering seeds) that the equivalence
-config does not vary.
+piece policy, whitewashing, lingering seeds, swarm-wide views) that
+the equivalence config does not vary.
 """
 
 from __future__ import annotations
@@ -17,11 +17,18 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import BackendFallbackError, ConfigurationError
-from repro.names import Algorithm
+from repro.names import EXTENDED_ALGORITHMS, Algorithm
 from repro.sim import (FaultConfig, SimulationConfig, VectorSimulation,
                        targeted_attack_for, vector_unsupported_reason)
 from repro.sim.metrics import metrics_digest
 from repro.sim.runner import run_simulation
+
+
+#: All five fault axes firing at once.
+ALL_FAULTS = FaultConfig(
+    transfer_loss_rate=0.15, crash_hazard=0.005,
+    seeder_outage_rate=0.2, seeder_outage_duration=3,
+    report_delay_rounds=2, obligation_expiry_rounds=6)
 
 
 def small_config(**overrides) -> SimulationConfig:
@@ -168,6 +175,23 @@ class TestBackendFallbackPolicy:
         assert rebuilt.backend_fallback == "error"
 
 
+def large_view_config(algorithm: Algorithm,
+                      faults: FaultConfig = FaultConfig()) -> SimulationConfig:
+    """Large-view free-riders (Figure 6's exploit): their views, and
+    the seeders', span the whole 120-user swarm."""
+    return SimulationConfig(
+        algorithm=algorithm,
+        n_users=120,
+        n_pieces=24,
+        max_rounds=200,
+        freerider_fraction=0.2,
+        attack=targeted_attack_for(algorithm, large_view=True),
+        neighbor_count=12,
+        seed=5,
+        faults=faults,
+    )
+
+
 def _parity(config: SimulationConfig) -> None:
     object_digest = metrics_digest(run_simulation(config).metrics)
     vector_digest = metrics_digest(
@@ -220,10 +244,24 @@ class TestFeatureAxisParity:
                                                 obligation_expiry_rounds=4)))
 
     def test_all_fault_axes_combined(self):
-        _parity(small_config(faults=FaultConfig(
-            transfer_loss_rate=0.15, crash_hazard=0.005,
-            seeder_outage_rate=0.2, seeder_outage_duration=3,
-            report_delay_rounds=2, obligation_expiry_rounds=6)))
+        _parity(small_config(faults=ALL_FAULTS))
+
+    @pytest.mark.parametrize("faults", [FaultConfig(), ALL_FAULTS],
+                             ids=["clean", "all-faults"])
+    @pytest.mark.parametrize("algorithm", EXTENDED_ALGORITHMS,
+                             ids=[a.value for a in EXTENDED_ALGORITHMS])
+    def test_large_view_attack(self, algorithm, faults):
+        _parity(large_view_config(algorithm, faults))
+
+    @pytest.mark.parametrize("faults", [FaultConfig(), ALL_FAULTS],
+                             ids=["clean", "all-faults"])
+    def test_tchain_swarm_wide_compliant_views(self, faults):
+        """Designation, forwarding and seeding eligibility over views
+        of ~100 members: these run on compliant T-Chain peers' views,
+        which large-view free-riders (who never upload) do not grow
+        that far."""
+        _parity(replace(large_view_config(Algorithm.TCHAIN, faults),
+                        neighbor_count=100))
 
     def test_crashes_under_whitewashing_and_delay(self):
         """Delayed reports must survive identity resets: the lineage
