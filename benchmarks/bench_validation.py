@@ -120,7 +120,7 @@ def test_fairtorrent_deficit_bound(benchmark):
         out = {}
         for algorithm in (Algorithm.FAIRTORRENT, Algorithm.ALTRUISM):
             config = replace(default_scale(algorithm, seed=19),
-                             record_transfers=True)
+                             record_transfers=True, backend="object")
             result = run_simulation(config)
             out[algorithm] = worst_pairwise_deficit(
                 result.metrics.transfers,

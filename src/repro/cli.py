@@ -5,7 +5,9 @@ Commands
 ``tables``
     Print Tables I-III and the Figure 2/3 rankings (analytical; fast).
 ``figure4`` / ``figure5`` / ``figure6``
-    Run the corresponding simulation sweep and print its summary table.
+    Run the corresponding simulation sweep and print its summary table,
+    headed by an ``engine:`` line naming the backend and digest lineage
+    of the runs (the scenario presets run on ``vector``).
 ``run``
     Run a single simulation and print (or export) its metrics.
     ``--loss-rate``/``--crash-hazard``/... inject faults.
@@ -28,7 +30,8 @@ Commands
     dashboard, and trace-ring statistics; ``--trace-out`` writes the
     Chrome ``trace_event`` JSON, loadable in Perfetto.
 ``report``
-    The full reproduction report: all tables plus all three sweeps.
+    The full reproduction report: all tables plus all three sweeps,
+    whose tables follow the same ``engine:`` line.
 
 ``run``/``sweep``/``trace`` share the observability flags (``--trace``,
 ``--sample-every``, ``--profile``, ``--sample-rate CAT=N``,
@@ -757,6 +760,7 @@ def _cmd_figure(args: argparse.Namespace, which: str) -> int:
     base = _SCALES[args.scale](seed=args.seed)
     runner = getattr(figures, which)
     result = runner(base, processes=args.processes)
+    print(figures.engine_line(result.results.values()))
     print(result.to_text())
     if args.plot:
         print()

@@ -27,7 +27,8 @@ from repro.sim.config import SimulationConfig
 from repro.sim.runner import SimulationResult
 from repro.utils import ascii_chart, format_table
 
-__all__ = ["AlgorithmSeries", "FigureResult", "figure4", "figure5", "figure6"]
+__all__ = ["AlgorithmSeries", "FigureResult", "engine_line", "figure4",
+           "figure5", "figure6"]
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,22 @@ class FigureResult:
                 bootstrap, width=width, height=height,
                 title=f"{self.name} (c): bootstrapped fraction over time"))
         return "\n\n".join(panels)
+
+
+def engine_line(results: Iterable[SimulationResult]) -> str:
+    """Name the engine that produced ``results`` in one line.
+
+    E.g. ``engine: vector (parity-v1), 6 runs, 0 downgraded``: the
+    configured backend and digest lineage of the runs (comma-joined if
+    they differ), how many runs there were, and how many of them fell
+    back to the object engine.
+    """
+    results = list(results)
+    engines = sorted({f"{r.config.backend} ({r.metrics.digest_lineage})"
+                      for r in results})
+    downgraded = sum(1 for r in results if r.metrics.backend_downgraded)
+    return (f"engine: {', '.join(engines)}, {len(results)} runs, "
+            f"{downgraded} downgraded")
 
 
 def _series_for(result: SimulationResult) -> AlgorithmSeries:

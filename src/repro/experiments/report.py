@@ -66,8 +66,12 @@ def full_report(base: Optional[SimulationConfig] = None,
     sections.append("")
 
     if include_figures:
-        for fig in (figures.figure4(base), figures.figure5(base),
-                    figures.figure6(base)):
+        figs = (figures.figure4(base), figures.figure5(base),
+                figures.figure6(base))
+        sections.append(figures.engine_line(
+            r for fig in figs for r in fig.results.values()))
+        sections.append("")
+        for fig in figs:
             sections.append(fig.to_text())
             sections.append("")
 

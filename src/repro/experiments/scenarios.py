@@ -13,6 +13,18 @@ flash-crowd/seeder/capacity shape) while running in seconds:
 
 All scenario builders return a :class:`SimulationConfig` for one
 algorithm; experiments sweep algorithms with ``config.with_algorithm``.
+
+Every preset runs on :data:`PRESET_BACKEND` (``"vector"``), the
+struct-of-arrays engine that replays the object engine's draws and
+produces the same ``metrics_digest`` (the parity-v1 lineage), so
+Figures 4-6 and the report come out byte-identical, only faster.
+``SimulationConfig`` itself still defaults to ``"object"``.
+
+The array engines do not yet run guards, the obs runtime or
+``record_transfers``. A preset that turns one of those on must also set
+``backend="object"``; otherwise the run falls back to the object engine
+(with a ``RuntimeWarning`` under the default fallback policy) and
+records the downgrade in ``metrics.backend_downgraded``.
 """
 
 from __future__ import annotations
@@ -28,12 +40,16 @@ from repro.sim.config import (
 from repro.sim.runner import SimulationResult, run_simulation
 
 __all__ = [
+    "PRESET_BACKEND",
     "paper_scale",
     "default_scale",
     "smoke_scale",
     "with_freeriders",
     "run_all_algorithms",
 ]
+
+#: Engine every preset runs on (see the module docstring).
+PRESET_BACKEND = "vector"
 
 #: Free-rider share used in Figures 5 and 6.
 PAPER_FREERIDER_FRACTION = 0.2
@@ -51,6 +67,7 @@ def paper_scale(algorithm: Algorithm = Algorithm.TCHAIN,
         neighbor_count=50,
         max_rounds=2000,
         seed=seed,
+        backend=PRESET_BACKEND,
     )
 
 
@@ -66,6 +83,7 @@ def default_scale(algorithm: Algorithm = Algorithm.TCHAIN,
         neighbor_count=40,
         max_rounds=500,
         seed=seed,
+        backend=PRESET_BACKEND,
     )
 
 
@@ -81,6 +99,7 @@ def smoke_scale(algorithm: Algorithm = Algorithm.TCHAIN,
         neighbor_count=20,
         max_rounds=250,
         seed=seed,
+        backend=PRESET_BACKEND,
     )
 
 

@@ -93,20 +93,21 @@ class TestStrategy:
 
 class TestSimulationProfile:
     def test_behaves_like_a_fair_hybrid(self):
-        from repro.experiments.scenarios import smoke_scale
         from repro.sim import run_simulation
+        from tests.conftest import object_smoke_scale
 
-        metrics = run_simulation(smoke_scale(Algorithm.PROPSHARE,
-                                             seed=31)).metrics
+        metrics = run_simulation(object_smoke_scale(Algorithm.PROPSHARE,
+                                                    seed=31)).metrics
         assert metrics.completion_fraction() > 0.95
         assert metrics.final_fairness() == pytest.approx(1.0, abs=0.12)
 
     def test_exposure_capped_by_optimistic_share(self):
-        from repro.experiments.scenarios import smoke_scale, with_freeriders
+        from repro.experiments.scenarios import with_freeriders
         from repro.sim import run_simulation
+        from tests.conftest import object_smoke_scale
 
-        config = with_freeriders(smoke_scale(Algorithm.PROPSHARE, seed=31),
-                                 fraction=0.2)
+        config = with_freeriders(
+            object_smoke_scale(Algorithm.PROPSHARE, seed=31), fraction=0.2)
         metrics = run_simulation(config).metrics
         # Far below altruism's ~0.2; in BitTorrent's band.
         assert metrics.susceptibility() < 0.15

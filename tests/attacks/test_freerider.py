@@ -163,11 +163,12 @@ class TestCrashesDuringAttack:
     colluders must not leave dangling coalition references."""
 
     def test_colluder_crash_keeps_coalition_consistent(self):
-        from repro.experiments.scenarios import smoke_scale, with_freeriders
+        from repro.experiments.scenarios import with_freeriders
         from repro.sim import FaultConfig, run_simulation
+        from tests.conftest import object_smoke_scale
 
         config = with_freeriders(
-            smoke_scale(Algorithm.TCHAIN, seed=13), fraction=0.25,
+            object_smoke_scale(Algorithm.TCHAIN, seed=13), fraction=0.25,
             attack=AttackConfig(collusion=True))
         config = config.with_faults(FaultConfig(crash_hazard=0.02))
         metrics = run_simulation(config).metrics
@@ -175,11 +176,12 @@ class TestCrashesDuringAttack:
         assert metrics.total_uploaded == metrics.total_received_raw
 
     def test_whitewashing_with_crashes(self):
-        from repro.experiments.scenarios import smoke_scale, with_freeriders
+        from repro.experiments.scenarios import with_freeriders
         from repro.sim import FaultConfig, run_simulation
+        from tests.conftest import object_smoke_scale
 
         config = with_freeriders(
-            smoke_scale(Algorithm.FAIRTORRENT, seed=13), fraction=0.2,
+            object_smoke_scale(Algorithm.FAIRTORRENT, seed=13), fraction=0.2,
             attack=AttackConfig(whitewash_interval=10))
         config = config.with_faults(FaultConfig(crash_hazard=0.015,
                                                 transfer_loss_rate=0.1))

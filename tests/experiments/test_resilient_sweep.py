@@ -215,7 +215,8 @@ class TestJournal:
                             task=task_identity, journal_path=path)
         # Simulate a kill after the first replicate: truncate the
         # journal to its header plus one completed record.
-        lines = open(path).read().splitlines()
+        with open(path) as handle:
+            lines = handle.read().splitlines()
         with open(path, "w") as handle:
             handle.write("\n".join(lines[:2]) + "\n")
         resumed = run_resilient_sweep(_config(), SEEDS, VALUE,
@@ -257,7 +258,8 @@ class TestJournal:
         run_resilient_sweep(_config(), (1,), VALUE,
                             task=task_always_crash, max_attempts=1,
                             journal_path=path)
-        records = [json.loads(line) for line in open(path)]
+        with open(path) as handle:
+            records = [json.loads(line) for line in handle]
         replicate = [r for r in records if r["kind"] == "replicate"][0]
         assert replicate["status"] == "failed"
         # The failure is checkpointed: resuming does not retry it.
@@ -316,7 +318,8 @@ class TestParallelDeterminism:
                             task=task_identity, jobs=4, journal_path=path)
         # Simulate a kill mid-sweep: keep the header plus the first
         # completed replicate, losing everything after it.
-        lines = open(path).read().splitlines()
+        with open(path) as handle:
+            lines = handle.read().splitlines()
         with open(path, "w") as handle:
             handle.write("\n".join(lines[:2]) + "\n")
         resumed = run_resilient_sweep(_config(), SEEDS, VALUE,
@@ -382,7 +385,8 @@ class TestTelemetry:
             assert outcome.telemetry is not None
             assert {"worker", "wall_s", "queue_wait_s"} <= set(
                 outcome.telemetry)
-        records = [json.loads(line) for line in open(path)]
+        with open(path) as handle:
+            records = [json.loads(line) for line in handle]
         replicates = [r for r in records if r["kind"] == "replicate"]
         assert all("telemetry" in r for r in replicates)
         summaries = [r for r in records if r["kind"] == "summary"]
@@ -467,8 +471,8 @@ class TestDegradedRuns:
 
         config = smoke_scale(Algorithm.RECIPROCITY).with_faults(FaultConfig(
             seeder_outage_rate=0.95, seeder_outage_duration=500))
-        return config.with_guards("cheap", watchdog_window=8,
-                                  bundle_dir=str(tmp_path))
+        return config.with_backend("object").with_guards(
+            "cheap", watchdog_window=8, bundle_dir=str(tmp_path))
 
     def test_degraded_replicates_surface_in_outcomes(self, tmp_path):
         result = run_resilient_sweep(self._starved_config(tmp_path),
@@ -506,7 +510,8 @@ class TestObsTelemetryChannel:
     telemetry channel: journaled, digest-excluded, values untouched."""
 
     def _obs_config(self):
-        return _config().with_obs(trace=True, sample_every=5, profile=True)
+        return _config().with_backend("object").with_obs(
+            trace=True, sample_every=5, profile=True)
 
     def test_series_survive_worker_pipes(self, tmp_path):
         from repro.obs import SeriesStore
@@ -522,7 +527,8 @@ class TestObsTelemetryChannel:
             assert payload["trace"]["retained"] > 0
             assert "engine.round" in payload["profile"]
         # The journal carries the payload too (inside telemetry).
-        records = [json.loads(line) for line in open(path)]
+        with open(path) as handle:
+            records = [json.loads(line) for line in handle]
         replicates = [r for r in records if r.get("kind") == "replicate"]
         assert all("obs" in r["telemetry"] for r in replicates)
 

@@ -57,7 +57,7 @@ class TestFairTorrentDeficitBound:
 
     def run_traced(self, algorithm, seed=21):
         config = replace(smoke_scale(algorithm, seed=seed),
-                         record_transfers=True)
+                         record_transfers=True, backend="object")
         result = run_simulation(config)
         seeders = set(range(config.n_seeders))
         return ta.worst_pairwise_deficit(result.metrics.transfers,

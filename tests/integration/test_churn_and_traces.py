@@ -6,16 +6,16 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.scenarios import smoke_scale
 from repro.names import Algorithm
 from repro.sim import run_simulation
+from tests.conftest import object_smoke_scale
 
 
 class TestMultiSeeder:
     def test_reciprocity_throughput_scales_with_seeders(self):
         """Reciprocity's only channel is the seeders (Table II: n_S/N),
         so doubling them roughly doubles dissemination."""
-        base = smoke_scale(Algorithm.RECIPROCITY, seed=9)
+        base = object_smoke_scale(Algorithm.RECIPROCITY, seed=9)
         one = run_simulation(replace(base, n_seeders=1)).metrics
         four = run_simulation(replace(base, n_seeders=4)).metrics
         # Per-round distribution rate scales near-linearly with n_S.
@@ -29,21 +29,21 @@ class TestMultiSeeder:
             one.time_to_bootstrap_fraction(0.9))
 
     def test_extra_seeders_never_slow_completion(self):
-        base = smoke_scale(Algorithm.BITTORRENT, seed=9)
+        base = object_smoke_scale(Algorithm.BITTORRENT, seed=9)
         one = run_simulation(replace(base, n_seeders=1)).metrics
         three = run_simulation(replace(base, n_seeders=3)).metrics
         assert (three.mean_completion_time()
                 <= one.mean_completion_time() * 1.15)
 
     def test_conservation_with_many_seeders(self):
-        result = run_simulation(replace(smoke_scale(Algorithm.TCHAIN, seed=9),
-                                        n_seeders=3))
+        result = run_simulation(replace(
+            object_smoke_scale(Algorithm.TCHAIN, seed=9), n_seeders=3))
         assert result.conservation_holds()
 
 
 class TestChurn:
     def test_aborters_never_complete(self):
-        config = replace(smoke_scale(Algorithm.ALTRUISM, seed=10),
+        config = replace(object_smoke_scale(Algorithm.ALTRUISM, seed=10),
                          abort_rate=0.02)
         metrics = run_simulation(config).metrics
         aborted = [p for p in metrics.peers if p.completion_time is None]
@@ -51,13 +51,13 @@ class TestChurn:
         assert metrics.completion_fraction() < 1.0
 
     def test_zero_churn_everybody_finishes(self):
-        config = replace(smoke_scale(Algorithm.ALTRUISM, seed=10),
+        config = replace(object_smoke_scale(Algorithm.ALTRUISM, seed=10),
                          abort_rate=0.0)
         metrics = run_simulation(config).metrics
         assert metrics.completion_fraction() == pytest.approx(1.0)
 
     def test_invariants_survive_churn(self):
-        config = replace(smoke_scale(Algorithm.TCHAIN, seed=10),
+        config = replace(object_smoke_scale(Algorithm.TCHAIN, seed=10),
                          abort_rate=0.03)
         result = run_simulation(config)
         assert result.conservation_holds()
@@ -65,7 +65,7 @@ class TestChurn:
             assert peer.downloaded <= config.n_pieces
 
     def test_seeders_immune_to_churn(self):
-        config = replace(smoke_scale(Algorithm.ALTRUISM, seed=10),
+        config = replace(object_smoke_scale(Algorithm.ALTRUISM, seed=10),
                          abort_rate=0.5, max_rounds=60)
         metrics = run_simulation(config).metrics
         # Massive churn: the run still progresses because the seeder
@@ -76,7 +76,7 @@ class TestChurn:
 class TestTransferTraces:
     @pytest.fixture(scope="class")
     def traced(self):
-        config = replace(smoke_scale(Algorithm.TCHAIN, seed=11),
+        config = replace(object_smoke_scale(Algorithm.TCHAIN, seed=11),
                          record_transfers=True)
         return run_simulation(config)
 
@@ -97,7 +97,7 @@ class TestTransferTraces:
         assert times == sorted(times)
 
     def test_freeriders_absent_as_uploaders(self):
-        config = replace(smoke_scale(Algorithm.ALTRUISM, seed=11),
+        config = replace(object_smoke_scale(Algorithm.ALTRUISM, seed=11),
                          record_transfers=True, freerider_fraction=0.3)
         result = run_simulation(config)
         freerider_lineages = {p.peer_id for p in result.metrics.peers
@@ -106,5 +106,6 @@ class TestTransferTraces:
             assert record.uploader_id not in freerider_lineages
 
     def test_off_by_default(self):
-        result = run_simulation(smoke_scale(Algorithm.ALTRUISM, seed=11))
+        result = run_simulation(
+            object_smoke_scale(Algorithm.ALTRUISM, seed=11))
         assert result.metrics.transfers == []

@@ -11,13 +11,14 @@ from repro.experiments.scenarios import smoke_scale
 from repro.names import Algorithm
 from repro.sim import SimulationConfig, run_simulation
 from repro.sim.runner import Simulation
+from tests.conftest import object_smoke_scale
 
 
 class TestSeedLingering:
     def test_lingering_speeds_the_tail(self):
         """Completed users that keep seeding (gamma < 1) shorten the
         remaining users' downloads — the fluid model's seed effect."""
-        base = smoke_scale(Algorithm.BITTORRENT, seed=14)
+        base = object_smoke_scale(Algorithm.BITTORRENT, seed=14)
         immediate = run_simulation(base).metrics
         lingering = run_simulation(
             replace(base, seed_linger_rate=0.2)).metrics
@@ -25,7 +26,7 @@ class TestSeedLingering:
                 < immediate.mean_completion_time())
 
     def test_lingerers_upload_after_completion(self):
-        base = replace(smoke_scale(Algorithm.ALTRUISM, seed=15),
+        base = replace(object_smoke_scale(Algorithm.ALTRUISM, seed=15),
                        seed_linger_rate=0.1)
         metrics = run_simulation(base).metrics
         over_uploaders = [p for p in metrics.peers
@@ -33,14 +34,14 @@ class TestSeedLingering:
         assert over_uploaders  # someone kept giving after finishing
 
     def test_run_still_terminates(self):
-        base = replace(smoke_scale(Algorithm.ALTRUISM, seed=15),
+        base = replace(object_smoke_scale(Algorithm.ALTRUISM, seed=15),
                        seed_linger_rate=0.05)
         metrics = run_simulation(base).metrics
         assert metrics.completion_fraction() == pytest.approx(1.0)
         assert metrics.rounds_run < base.max_rounds
 
     def test_conservation_holds(self):
-        base = replace(smoke_scale(Algorithm.TCHAIN, seed=15),
+        base = replace(object_smoke_scale(Algorithm.TCHAIN, seed=15),
                        seed_linger_rate=0.3)
         assert run_simulation(base).conservation_holds()
 
@@ -54,7 +55,7 @@ class TestSeedLingering:
 class TestViewTopologies:
     @pytest.mark.parametrize("topology", ["ring", "smallworld"])
     def test_swarm_completes(self, topology):
-        config = replace(smoke_scale(Algorithm.BITTORRENT, seed=14),
+        config = replace(object_smoke_scale(Algorithm.BITTORRENT, seed=14),
                          view_topology=topology)
         metrics = run_simulation(config).metrics
         assert metrics.completion_fraction() == pytest.approx(1.0)
@@ -94,7 +95,7 @@ class TestViewTopologies:
     def test_orderings_survive_ring_topology(self):
         """Robustness: altruism still beats BitTorrent on a ring."""
         def mean_time(algorithm):
-            config = replace(smoke_scale(algorithm, seed=16),
+            config = replace(object_smoke_scale(algorithm, seed=16),
                              view_topology="ring")
             return run_simulation(config).metrics.mean_completion_time()
 

@@ -23,6 +23,9 @@ from dataclasses import replace
 
 import pytest
 
+from repro.experiments import figures
+from repro.experiments.scenarios import (default_scale, paper_scale,
+                                         smoke_scale)
 from repro.names import ALL_ALGORITHMS, EXTENDED_ALGORITHMS, Algorithm
 from repro.sim.config import (AttackConfig, SimulationConfig,
                               targeted_attack_for)
@@ -126,6 +129,41 @@ class TestVectorBackendParity:
         vector_digest = metrics_digest(
             run_simulation(config.with_backend("vector")).metrics)
         assert object_digest == vector_digest
+
+
+class TestFigureBackendParity:
+    """The scenario presets name ``backend="vector"``, so Figures 4-6
+    run on the array engine; each figure's per-mechanism digests must
+    still be the object engine's, with no run downgraded."""
+
+    @pytest.mark.parametrize("preset", [paper_scale, default_scale,
+                                        smoke_scale],
+                             ids=lambda preset: preset.__name__)
+    def test_presets_run_on_vector(self, preset):
+        assert preset().backend == "vector"
+
+    @pytest.mark.parametrize("name", ["figure4", "figure5", "figure6"])
+    def test_figure_matches_object_engine(self, name):
+        self._check(getattr(figures, name), smoke_scale(seed=5))
+
+    @pytest.mark.slow
+    def test_figure6_matches_object_engine_at_paper_scale(self):
+        """1000 users, 512 pieces, and large-view free-riders whose
+        views span the swarm; minutes (select with ``-m slow``)."""
+        self._check(figures.figure6, paper_scale(seed=1))
+
+    @staticmethod
+    def _check(runner, base):
+        on_vector = runner(base).results
+        on_object = runner(replace(base, backend="object")).results
+        assert list(on_vector) == list(on_object) == list(ALL_ALGORITHMS)
+        for algorithm, result in on_vector.items():
+            assert result.config.backend == "vector"
+            assert result.metrics.backend_downgraded is None
+            assert result.metrics.digest_lineage == "parity-v1"
+            assert (metrics_digest(result.metrics)
+                    == metrics_digest(on_object[algorithm].metrics)), \
+                algorithm.value
 
 
 #: One entry per fault axis (individually), plus all five at once.

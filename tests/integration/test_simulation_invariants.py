@@ -5,16 +5,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.scenarios import smoke_scale, with_freeriders
+from repro.experiments.scenarios import with_freeriders
 from repro.names import ALL_ALGORITHMS, Algorithm
 from repro.sim import run_simulation
 from repro.sim.runner import Simulation
+from tests.conftest import object_smoke_scale
+
 
 
 @pytest.fixture(scope="module", params=[a.value for a in ALL_ALGORITHMS])
 def result(request):
     """One completed smoke-scale run per algorithm (module-cached)."""
-    config = smoke_scale(Algorithm.parse(request.param), seed=17)
+    config = object_smoke_scale(Algorithm.parse(request.param), seed=17)
     return run_simulation(config)
 
 
@@ -36,8 +38,8 @@ class TestConservation:
             assert peer.uploaded <= limit
 
     def test_freeriders_upload_nothing(self):
-        config = with_freeriders(smoke_scale(Algorithm.ALTRUISM, seed=3),
-                                 fraction=0.25)
+        config = with_freeriders(
+            object_smoke_scale(Algorithm.ALTRUISM, seed=3), fraction=0.25)
         metrics = run_simulation(config).metrics
         for peer in metrics.peers:
             if peer.is_freerider:
@@ -88,7 +90,7 @@ class TestMonotoneSeries:
 
 class TestDeterminism:
     def test_same_seed_same_outcome(self):
-        config = smoke_scale(Algorithm.BITTORRENT, seed=23)
+        config = object_smoke_scale(Algorithm.BITTORRENT, seed=23)
         a = run_simulation(config).metrics
         b = run_simulation(config).metrics
         assert a.total_uploaded == b.total_uploaded
@@ -97,7 +99,7 @@ class TestDeterminism:
             s.bootstrapped for s in b.samples]
 
     def test_different_seeds_differ(self):
-        base = smoke_scale(Algorithm.BITTORRENT, seed=23)
+        base = object_smoke_scale(Algorithm.BITTORRENT, seed=23)
         a = run_simulation(base).metrics
         b = run_simulation(base.with_seed(24)).metrics
         assert a.completion_times() != b.completion_times()
@@ -105,7 +107,7 @@ class TestDeterminism:
     def test_runner_reusable_config(self):
         """Running twice from the same config object must not share
         state between Simulation instances."""
-        config = smoke_scale(Algorithm.TCHAIN, seed=5)
+        config = object_smoke_scale(Algorithm.TCHAIN, seed=5)
         sim1 = Simulation(config)
         r1 = sim1.run()
         sim2 = Simulation(config)
@@ -115,7 +117,7 @@ class TestDeterminism:
 
 class TestTermination:
     def test_stops_when_compliant_done(self):
-        config = smoke_scale(Algorithm.ALTRUISM, seed=2)
+        config = object_smoke_scale(Algorithm.ALTRUISM, seed=2)
         metrics = run_simulation(config).metrics
         assert metrics.completion_fraction() == pytest.approx(1.0)
         assert metrics.rounds_run < config.max_rounds
@@ -125,7 +127,7 @@ class TestTermination:
         data, so the swarm cannot finish within the round cap. (At
         smoke scale the seeder may luck a handful of users through;
         at paper scale nobody completes at all, cf. Fig. 4a.)"""
-        config = smoke_scale(Algorithm.RECIPROCITY, seed=2)
+        config = object_smoke_scale(Algorithm.RECIPROCITY, seed=2)
         metrics = run_simulation(config).metrics
         assert metrics.rounds_run == config.max_rounds
         assert metrics.completion_fraction() < 0.2

@@ -9,14 +9,15 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.scenarios import smoke_scale, with_freeriders
+from repro.experiments.scenarios import with_freeriders
 from repro.names import Algorithm
 from repro.sim import FaultConfig, FaultModel, run_simulation
 from repro.sim.metrics import FaultCounters, degradation_rows
+from tests.conftest import object_smoke_scale
 
 
 def _run(algorithm=Algorithm.BITTORRENT, seed=7, faults=None, **overrides):
-    config = smoke_scale(algorithm, seed=seed)
+    config = object_smoke_scale(algorithm, seed=seed)
     if overrides:
         config = replace(config, **overrides)
     if faults is not None:
@@ -291,8 +292,8 @@ class TestDegradationRowsEdgeCases:
 
 class TestFaultsUnderAttack:
     def test_crashes_during_freeriding_attack(self):
-        config = with_freeriders(smoke_scale(Algorithm.TCHAIN, seed=13),
-                                 fraction=0.2)
+        config = with_freeriders(
+            object_smoke_scale(Algorithm.TCHAIN, seed=13), fraction=0.2)
         config = config.with_faults(FaultConfig(crash_hazard=0.01,
                                                 transfer_loss_rate=0.1))
         metrics = run_simulation(config).metrics

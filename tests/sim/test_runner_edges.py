@@ -105,12 +105,11 @@ class TestPopulationConstruction:
     def test_sample_interval_thins_series(self):
         from repro.sim import run_simulation
         from dataclasses import replace
-        from repro.experiments.scenarios import smoke_scale
+        from tests.conftest import object_smoke_scale
 
-        dense = run_simulation(smoke_scale(Algorithm.ALTRUISM, seed=4)).metrics
-        sparse = run_simulation(replace(
-            smoke_scale(Algorithm.ALTRUISM, seed=4),
-            sample_interval=5)).metrics
+        base = object_smoke_scale(Algorithm.ALTRUISM, seed=4)
+        dense = run_simulation(base).metrics
+        sparse = run_simulation(replace(base, sample_interval=5)).metrics
         assert 0 < len(sparse.samples) <= len(dense.samples) // 4 + 1
 
 

@@ -222,6 +222,14 @@ class TestFeatureAxisParity:
     def test_lingering_seeds(self):
         _parity(small_config(seed_linger_rate=0.5))
 
+    @pytest.mark.parametrize("algorithm", EXTENDED_ALGORITHMS,
+                             ids=[a.value for a in EXTENDED_ALGORITHMS])
+    def test_lingering_seeds_per_mechanism(self, algorithm):
+        _parity(small_config(algorithm=algorithm, seed_linger_rate=0.2))
+
+    def test_sparse_sampling(self):
+        _parity(small_config(sample_interval=5))
+
     def test_transfer_loss_faults(self):
         _parity(small_config(faults=FaultConfig(transfer_loss_rate=0.3)))
 

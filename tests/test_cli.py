@@ -171,7 +171,9 @@ class TestCommands:
     def test_figure4_smoke(self, capsys):
         code = main(["figure4", "--scale", "smoke", "--seed", "2"])
         assert code == 0
-        assert "Figure 4" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Figure 4" in out
+        assert "engine: vector (parity-v1), 6 runs, 0 downgraded" in out
 
     def test_report_tables_only(self, capsys):
         code = main(["report", "--no-figures"])
