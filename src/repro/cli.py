@@ -17,7 +17,7 @@ Commands
 ``sweep``
     Crash-safe replicated sweep on a persistent worker pool
     (``--jobs``): crash isolation, per-replicate timeouts, bounded
-    retry with jittered backoff, a resumable checkpoint journal, and
+    retry with reseeding, a resumable checkpoint journal, and
     sweep telemetry. ``--cache-dir`` fetches/persists finished
     replicates in a content-addressed result cache (``--cache-strict``
     makes a corrupt entry fatal). ``--sample-every N`` ships each
@@ -70,10 +70,8 @@ from repro.errors import (ConfigurationError, InvariantViolationError,
                           SimulationError, SimulationStalled)
 from repro.experiments import figures, report, scenarios, tables
 from repro.experiments.cache import CacheCorruptionError
-from repro.experiments.executor import DEFAULT_RECYCLE_AFTER
 from repro.experiments.export import result_to_json, summary_dict
-from repro.experiments.replicates import (DEFAULT_RETRY_BACKOFF,
-                                          run_resilient_sweep)
+from repro.experiments.replicates import run_resilient_sweep
 from repro.names import EXTENDED_ALGORITHMS, Algorithm
 from repro.obs import (SeriesStore, sweep_series_to_chrome_trace,
                        to_chrome_trace, to_jsonl)
@@ -208,15 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persistent worker processes (default: "
                             "usable CPU count minus one); results are "
                             "identical for any value")
-    sweep.add_argument("--recycle-after", type=int, default=None,
-                       metavar="K",
-                       help="recycle each worker after K replicates "
-                            f"(default {DEFAULT_RECYCLE_AFTER})")
-    sweep.add_argument("--retry-backoff", type=float, default=None,
-                       metavar="SECONDS",
-                       help="base of the jittered exponential backoff "
-                            "between retry attempts (default "
-                            f"{DEFAULT_RETRY_BACKOFF}; 0 disables)")
     sweep_hybrid = sweep.add_argument_group(
         "population-scale hybrid (repro.sim.hybrid, docs/SCALING.md)")
     sweep_hybrid.add_argument("--population", type=int, default=None,
@@ -591,9 +580,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                   f"{reason} and --backend-fallback error forbids the "
                   "object-engine fallback", file=sys.stderr)
             return 2
-    if args.replicates < 1:
-        print("sweep: --replicates must be >= 1", file=sys.stderr)
-        return 2
+    for problem, bad in (
+            ("--replicates must be >= 1", args.replicates < 1),
+            ("--jobs must be >= 1", args.jobs is not None and args.jobs < 1),
+            ("--max-attempts must be >= 1", args.max_attempts < 1),
+            ("--timeout must be > 0",
+             args.timeout is not None and args.timeout <= 0)):
+        if bad:
+            print(f"sweep: {problem}", file=sys.stderr)
+            return 2
     if args.trace_out and args.sample_every <= 0:
         print("sweep: --trace-out needs --sample-every N (raw trace "
               "events never cross worker pipes; only sampled series do)",
@@ -604,19 +599,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     seeds = tuple(range(args.seed, args.seed + args.replicates))
-    recycle = (args.recycle_after if args.recycle_after is not None
-               else DEFAULT_RECYCLE_AFTER)
-    backoff = (args.retry_backoff if args.retry_backoff is not None
-               else DEFAULT_RETRY_BACKOFF)
     try:
         result = run_resilient_sweep(
             config, seeds,
             journal_path=args.journal,
             timeout=args.timeout,
             max_attempts=args.max_attempts,
-            retry_backoff=backoff,
             jobs=args.jobs,
-            recycle_after=recycle,
             cache_dir=args.cache_dir,
             cache_strict=args.cache_strict,
         )
@@ -667,8 +656,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"{engine.get('wall_s', 0.0):.2f}s wall, "
               f"{100.0 * engine.get('utilization', 0.0):.0f}% utilized, "
               f"{engine.get('worker_crashes', 0)} crashes, "
-              f"{engine.get('timeouts', 0)} timeouts, "
-              f"{engine.get('workers_recycled', 0)} recycled")
+              f"{engine.get('timeouts', 0)} timeouts")
         cache_stats = engine.get("cache")
         if cache_stats:
             print(f"cache: {cache_stats.get('hits', 0)} hits, "

@@ -14,8 +14,9 @@ crash-isolation semantics the sweep runner is built on:
 * a per-task wall-clock ``timeout`` is enforced from the parent without
   serializing the batch: only the offending worker is killed while its
   siblings keep running;
-* workers are recycled (cleanly stopped and respawned) after
-  ``recycle_after`` tasks so leaked memory in long sweeps is bounded;
+* :data:`DEFAULT_CRASH_STORM_LIMIT` workers in a row that each die
+  before finishing a task trip a circuit breaker
+  (:class:`RespawnStormError`) instead of respawning forever;
 * every kill path reaps via ``terminate()`` → ``join(grace)`` →
   ``kill()`` → ``join()``, so a worker caught mid-spawn cannot escape
   shutdown (the leak the old per-replicate pool had under
@@ -75,7 +76,6 @@ their own — do not nest engines.
 
 from __future__ import annotations
 
-import heapq
 import os
 import pickle
 import signal
@@ -94,11 +94,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
 __all__ = ["TaskSpec", "TaskTelemetry", "TaskResult", "PoolStats",
            "ExecutionReport", "RespawnStormError", "run_tasks",
            "default_jobs", "usable_cpus", "resolve_start_method",
-           "DEFAULT_RECYCLE_AFTER",
            "DEFAULT_CRASH_STORM_LIMIT"]
-
-#: Tasks a worker executes before it is cleanly stopped and respawned.
-DEFAULT_RECYCLE_AFTER = 64
 
 #: Consecutive worker deaths — each before completing a single task —
 #: that trip the pool's circuit breaker. A systematic child failure
@@ -111,10 +107,11 @@ DEFAULT_CRASH_STORM_LIMIT = 5
 class RespawnStormError(RuntimeError):
     """Every fresh worker died immediately: the pool cannot make progress.
 
-    Raised by :func:`run_tasks` when ``crash_storm_limit`` consecutive
-    workers exited before completing any task. ``last_exitcode`` and
-    ``last_error`` carry what is known about the final death (the
-    child's own traceback, when one made it back over the pipe).
+    Raised by :func:`run_tasks` when :data:`DEFAULT_CRASH_STORM_LIMIT`
+    consecutive workers exited before completing any task.
+    ``last_exitcode`` and ``last_error`` carry what is known about the
+    final death (the child's own traceback, when one made it back over
+    the pipe).
     """
 
     def __init__(self, message: str, *, deaths: int,
@@ -177,22 +174,11 @@ class TaskSpec:
     fn: Callable[..., Any]
     args: Union[tuple, Callable[[int], tuple]] = ()
     max_attempts: int = 1
-    #: Parent-side callable ``attempt -> seconds`` the engine waits
-    #: before re-queueing that retry attempt (attempts count from 2 —
-    #: attempt 1 never waits). ``None`` keeps the historical behaviour
-    #: of immediate re-entry. Delays only hold the *failed* task back:
-    #: idle workers keep draining other queued tasks meanwhile.
-    retry_delay: Optional[Callable[[int], float]] = None
 
     def args_for(self, attempt: int) -> tuple:
         if callable(self.args):
             return tuple(self.args(attempt))
         return tuple(self.args)
-
-    def delay_for(self, attempt: int) -> float:
-        if self.retry_delay is None:
-            return 0.0
-        return max(0.0, float(self.retry_delay(attempt)))
 
 
 @dataclass(frozen=True)
@@ -259,11 +245,7 @@ class PoolStats:
     tasks_ok: int = 0
     tasks_failed: int = 0
     retries: int = 0
-    #: Total seconds failed attempts were held back by retry backoff
-    #: (:attr:`TaskSpec.retry_delay`) before re-entering the queue.
-    retry_backoff_s: float = 0.0
     workers_spawned: int = 0
-    workers_recycled: int = 0
     worker_crashes: int = 0
     timeouts: int = 0
     tasks_per_worker: Dict[int, int] = field(default_factory=dict)
@@ -284,9 +266,7 @@ class PoolStats:
             "tasks_ok": self.tasks_ok,
             "tasks_failed": self.tasks_failed,
             "retries": self.retries,
-            "retry_backoff_s": self.retry_backoff_s,
             "workers_spawned": self.workers_spawned,
-            "workers_recycled": self.workers_recycled,
             "worker_crashes": self.worker_crashes,
             "timeouts": self.timeouts,
             "tasks_per_worker": dict(self.tasks_per_worker),
@@ -397,18 +377,15 @@ class _Worker:
 
 class _Engine:
     def __init__(self, specs: Sequence[TaskSpec], jobs: int,
-                 timeout: Optional[float], recycle_after: Optional[int],
+                 timeout: Optional[float],
                  on_result: Optional[Callable[[TaskResult], None]],
-                 start_method: str,
-                 crash_storm_limit: Optional[int] = DEFAULT_CRASH_STORM_LIMIT):
+                 start_method: str):
         self.specs = list(specs)
         self.jobs = jobs
         self.timeout = timeout
-        self.recycle_after = recycle_after
-        self.crash_storm_limit = crash_storm_limit
         #: Consecutive deaths of workers that never completed a task.
         #: Reset by any delivered result; deliberate kills (timeouts,
-        #: recycling, shutdown) never touch it.
+        #: shutdown) never touch it.
         self.cold_deaths = 0
         self.on_result = on_result
         self.ctx = get_context(start_method)
@@ -417,10 +394,6 @@ class _Engine:
         now = self.clock()
         self.results: List[Optional[TaskResult]] = [None] * len(self.specs)
         self.pending = deque((i, 1, now) for i in range(len(self.specs)))
-        #: Retry attempts held back by backoff: a min-heap of
-        #: ``(ready_at, index, attempt)`` promoted into ``pending`` as
-        #: their delays elapse.
-        self.delayed: List[Tuple[float, int, int]] = []
         self.last_error: Dict[int, str] = {}
         self.workers: Dict[int, _Worker] = {}
         self.n_done = 0
@@ -475,18 +448,7 @@ class _Engine:
 
     # -- task flow -------------------------------------------------------
 
-    def _promote_delayed(self) -> None:
-        """Move matured backoff retries into the runnable queue.
-
-        ``enqueued_at`` is stamped at promotion time so the deliberate
-        backoff wait is not misreported as queue congestion."""
-        now = self.clock()
-        while self.delayed and self.delayed[0][0] <= now:
-            _, index, attempt = heapq.heappop(self.delayed)
-            self.pending.append((index, attempt, now))
-
     def _dispatch_idle(self) -> None:
-        self._promote_delayed()
         for worker in list(self.workers.values()):
             if not self.pending:
                 return
@@ -513,14 +475,7 @@ class _Engine:
         spec = self.specs[index]
         if attempt < spec.max_attempts:
             self.stats.retries += 1
-            now = self.clock()
-            delay = spec.delay_for(attempt + 1)
-            if delay > 0.0:
-                self.stats.retry_backoff_s += delay
-                heapq.heappush(self.delayed, (now + delay, index,
-                                              attempt + 1))
-            else:
-                self.pending.append((index, attempt + 1, now))
+            self.pending.append((index, attempt + 1, self.clock()))
             return
         telemetry = TaskTelemetry(worker=wid, wall_s=wall_s,
                                   queue_wait_s=queue_wait_s,
@@ -569,11 +524,6 @@ class _Engine:
             self._attempt_failed(running.index, running.attempt,
                                  worker.wid, payload,
                                  wall_s=wall_s, queue_wait_s=queue_wait)
-        if (self.recycle_after is not None
-                and worker.tasks_done >= self.recycle_after):
-            self._reap(worker, graceful=True)
-            self.stats.workers_recycled += 1
-            self._maybe_respawn()
 
     def _maybe_respawn(self) -> None:
         """Keep enough workers alive for the work that remains.
@@ -587,8 +537,7 @@ class _Engine:
             return
         running = sum(1 for w in self.workers.values()
                       if w.current is not None)
-        queued = len(self.pending) + len(self.delayed)
-        target = min(self.jobs, max(queued + running, 1))
+        target = min(self.jobs, max(len(self.pending) + running, 1))
         while len(self.workers) < target:
             self._spawn_worker()
 
@@ -608,8 +557,7 @@ class _Engine:
                 queue_wait_s=running.dispatched_at - running.enqueued_at)
         if died_cold:
             self.cold_deaths += 1
-            if (self.crash_storm_limit is not None
-                    and self.cold_deaths >= self.crash_storm_limit):
+            if self.cold_deaths >= DEFAULT_CRASH_STORM_LIMIT:
                 last_error = (self.last_error.get(running.index)
                               if running is not None else None)
                 raise RespawnStormError(
@@ -651,8 +599,6 @@ class _Engine:
             wakeups.extend(w.current.dispatched_at + self.timeout
                            for w in self.workers.values()
                            if w.current is not None)
-        if self.delayed:
-            wakeups.append(self.delayed[0][0])
         return max(0.0, min(wakeups) - now)
 
     # -- main loop -------------------------------------------------------
@@ -666,10 +612,6 @@ class _Engine:
                 self._dispatch_idle()
                 conn_to_worker = {w.conn: w for w in self.workers.values()
                                   if w.current is not None}
-                if not conn_to_worker and self.delayed:
-                    # Everything runnable is backing off: sleep until
-                    # the earliest retry matures instead of spinning.
-                    time.sleep(self._poll_interval())
                 if conn_to_worker:
                     ready = _connection_wait(list(conn_to_worker),
                                              self._poll_interval())
@@ -700,10 +642,8 @@ def run_tasks(specs: Sequence[TaskSpec],
               *,
               jobs: Optional[int] = None,
               timeout: Optional[float] = None,
-              recycle_after: Optional[int] = DEFAULT_RECYCLE_AFTER,
               on_result: Optional[Callable[[TaskResult], None]] = None,
               start_method: Optional[str] = None,
-              crash_storm_limit: Optional[int] = DEFAULT_CRASH_STORM_LIMIT,
               ) -> ExecutionReport:
     """Run ``specs`` on a persistent pool of ``jobs`` warm workers.
 
@@ -713,8 +653,9 @@ def run_tasks(specs: Sequence[TaskSpec],
     the backbone of the sweep determinism contract.
 
     ``jobs`` defaults to :func:`default_jobs` (usable cores minus
-    one); ``timeout`` is per-attempt wall clock; ``recycle_after``
-    bounds tasks per worker (``None`` disables recycling).
+    one); ``timeout`` is per-attempt wall clock in seconds (``None``
+    for no limit). A failed attempt is re-queued at once until its
+    task has used ``max_attempts``.
 
     ``start_method`` picks the multiprocessing context. ``None``
     resolves through :func:`resolve_start_method`: ``"fork"`` where it
@@ -727,21 +668,18 @@ def run_tasks(specs: Sequence[TaskSpec],
     it. Either way every worker is a direct child of the caller and is
     reaped before this function returns.
 
-    ``crash_storm_limit`` trips a circuit breaker
-    (:class:`RespawnStormError`) after that many *consecutive* workers
-    died without completing a single task — the signature of a
-    systematic child failure (import error, missing shared library)
-    that respawning can never fix. ``None`` disables the breaker.
-    Deliberate kills (per-task timeouts, recycling) do not count.
+    A circuit breaker (:class:`RespawnStormError`) trips after
+    :data:`DEFAULT_CRASH_STORM_LIMIT` *consecutive* workers died without
+    completing a single task — the signature of a systematic child
+    failure (import error, missing shared library) that respawning can
+    never fix. Deliberate kills (per-task timeouts) do not count.
     """
     if jobs is None:
         jobs = default_jobs()
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if recycle_after is not None and recycle_after < 1:
-        raise ValueError("recycle_after must be >= 1 (or None)")
-    if crash_storm_limit is not None and crash_storm_limit < 1:
-        raise ValueError("crash_storm_limit must be >= 1 (or None)")
+    if timeout is not None and timeout <= 0:
+        raise ValueError("timeout must be > 0 (or None)")
     for spec in specs:
         if spec.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
@@ -750,7 +688,5 @@ def run_tasks(specs: Sequence[TaskSpec],
         return ExecutionReport(results=(), stats=PoolStats(
             jobs=0, start_method=start_method))
     engine = _Engine(specs, jobs=min(jobs, len(specs)), timeout=timeout,
-                     recycle_after=recycle_after, on_result=on_result,
-                     start_method=start_method,
-                     crash_storm_limit=crash_storm_limit)
+                     on_result=on_result, start_method=start_method)
     return engine.run()

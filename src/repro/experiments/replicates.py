@@ -51,8 +51,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.executor import (DEFAULT_RECYCLE_AFTER, TaskResult,
-                                        TaskSpec, run_tasks)
+from repro.experiments.executor import TaskResult, TaskSpec, run_tasks
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.runner import run_simulation
@@ -230,7 +229,7 @@ class SweepResult:
     """Aggregates plus per-replicate outcomes of a resilient sweep.
 
     ``telemetry`` is the engine's end-of-sweep summary (worker count,
-    utilization, crashes, timeouts, recycles, ...); it describes *how*
+    utilization, crashes, timeouts, retries, ...); it describes *how*
     the sweep ran and is excluded from :meth:`canonical_digest`.
     """
 
@@ -454,37 +453,6 @@ def journal_digest(path: str) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-#: Default base (seconds) of the retry backoff ladder; attempt ``k``
-#: (``k >= 2``) waits ``min(cap, base * 2**(k-2)) * (1 + jitter)``.
-DEFAULT_RETRY_BACKOFF = 0.25
-
-#: Default ceiling (seconds) of the un-jittered retry backoff.
-DEFAULT_RETRY_BACKOFF_CAP = 30.0
-
-
-def _retry_delay_fn(fingerprint: str, seed: int, base: float,
-                    cap: float) -> Optional[Callable[[int], float]]:
-    """Jittered exponential backoff between a replicate's attempts.
-
-    The jitter is derived from the retry seed
-    (``sha256(fingerprint|seed|attempt)``) — fully deterministic, so a
-    re-run backs off identically and journals stay reproducible — yet
-    spread across seeds, so a systematically failing config is not
-    hammered by every replicate retrying in lockstep.
-    """
-    if base <= 0.0:
-        return None
-
-    def delay(attempt: int) -> float:
-        if attempt < 2:
-            return 0.0
-        jitter = (_derive_seed(fingerprint, seed, attempt)
-                  % 1_000_000) / 1_000_000.0
-        return min(cap, base * 2.0 ** (attempt - 2)) * (1.0 + jitter)
-
-    return delay
-
-
 def run_resilient_sweep(config: SimulationConfig,
                         seeds: Iterable[int],
                         extractors: Optional[Dict[str, Callable]] = None,
@@ -492,11 +460,8 @@ def run_resilient_sweep(config: SimulationConfig,
                         journal_path: Optional[str] = None,
                         timeout: Optional[float] = None,
                         max_attempts: int = 3,
-                        retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-                        retry_backoff_cap: float = DEFAULT_RETRY_BACKOFF_CAP,
                         task: Callable[..., Any] = _replicate_task,
                         jobs: Optional[int] = None,
-                        recycle_after: Optional[int] = DEFAULT_RECYCLE_AFTER,
                         start_method: Optional[str] = None,
                         cache_dir: Optional[str] = None,
                         cache_strict: bool = False,
@@ -506,15 +471,10 @@ def run_resilient_sweep(config: SimulationConfig,
     ``jobs`` warm workers (default: usable cores minus one) pull
     replicates from a shared queue — no per-replicate process spawn. A
     replicate that crashes its worker or exceeds ``timeout`` seconds of
-    wall clock is retried — up to ``max_attempts`` total tries, each
-    with a deterministically reseeded configuration and a jittered
-    exponential backoff (``retry_backoff`` base seconds, doubling per
-    attempt up to ``retry_backoff_cap``, jitter derived from the retry
-    seed so it is reproducible; ``retry_backoff=0`` restores immediate
-    requeue) — and recorded as failed (not fatal to the sweep) if every
-    attempt dies; only the affected worker is killed and respawned, its
-    siblings keep running. Workers are recycled after ``recycle_after``
-    tasks to bound leaked memory.
+    wall clock is retried at once — up to ``max_attempts`` total tries,
+    each with a deterministically reseeded configuration — and recorded
+    as failed (not fatal to the sweep) if every attempt dies; only the
+    affected worker is killed and respawned, its siblings keep running.
 
     Completed replicates are appended to ``journal_path`` (JSON lines,
     fsynced, single writer, canonical seed order), so re-running the
@@ -547,8 +507,6 @@ def run_resilient_sweep(config: SimulationConfig,
         raise ValueError("need at least one seed")
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    if retry_backoff < 0.0:
-        raise ValueError("retry_backoff must be >= 0")
     chosen = extractors or HEADLINE_METRICS
     metric_names = list(chosen)
     fingerprint = _config_fingerprint(config)
@@ -629,14 +587,10 @@ def run_resilient_sweep(config: SimulationConfig,
         _drain()
 
     specs = [TaskSpec(key=seed, fn=task, args=_args_for(seed),
-                      max_attempts=max_attempts,
-                      retry_delay=_retry_delay_fn(fingerprint, seed,
-                                                  retry_backoff,
-                                                  retry_backoff_cap))
+                      max_attempts=max_attempts)
              for seed in todo]
     report = run_tasks(specs, jobs=jobs, timeout=timeout,
-                       recycle_after=recycle_after, on_result=_on_result,
-                       start_method=start_method)
+                       on_result=_on_result, start_method=start_method)
     sweep_telemetry = report.stats.as_dict()
     if cache is not None:
         sweep_telemetry["cache"] = cache.stats.as_dict()

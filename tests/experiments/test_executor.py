@@ -24,6 +24,7 @@ import pytest
 import repro
 from repro.experiments import executor
 from repro.experiments.executor import (
+    DEFAULT_CRASH_STORM_LIMIT,
     RespawnStormError,
     TaskSpec,
     default_jobs,
@@ -109,8 +110,9 @@ class TestBasics:
         spec = TaskSpec(key=1, fn=square, args=(1,))
         with pytest.raises(ValueError):
             run_tasks([spec], jobs=0)
-        with pytest.raises(ValueError):
-            run_tasks([spec], recycle_after=0)
+        for timeout in (0, -1.0):
+            with pytest.raises(ValueError):
+                run_tasks([spec], timeout=timeout)
         with pytest.raises(ValueError):
             run_tasks([TaskSpec(key=1, fn=square, args=(1,),
                                 max_attempts=0)])
@@ -287,22 +289,6 @@ class TestFailureIsolation:
 
 
 class TestRecyclingAndTelemetry:
-    def test_workers_recycled_after_k_tasks(self):
-        specs = [TaskSpec(key=i, fn=square, args=(i,)) for i in range(5)]
-        report = run_tasks(specs, jobs=1, recycle_after=2)
-        assert [r.value for r in report.results] == [0, 1, 4, 9, 16]
-        assert report.stats.workers_recycled == 2
-        assert report.stats.workers_spawned == 3
-        # Telemetry attributes tasks to the distinct worker incarnations.
-        workers = {r.telemetry.worker for r in report.results}
-        assert len(workers) == 3
-
-    def test_recycling_disabled(self):
-        specs = [TaskSpec(key=i, fn=square, args=(i,)) for i in range(5)]
-        report = run_tasks(specs, jobs=1, recycle_after=None)
-        assert report.stats.workers_recycled == 0
-        assert report.stats.workers_spawned == 1
-
     def test_stats_accounting(self):
         specs = [TaskSpec(key=i, fn=square, args=(i,)) for i in range(4)]
         report = run_tasks(specs, jobs=2)
@@ -367,135 +353,83 @@ def exit_always(x):
     os._exit(7)
 
 
+#: Cold worker deaths in a row that trip the breaker.
+LIMIT = DEFAULT_CRASH_STORM_LIMIT
+
+
+def crash_until(n):
+    """Per-attempt args for :func:`exit_if_small`: the first ``n``
+    attempts kill their worker, the next one succeeds."""
+    return lambda a: (0 if a <= n else 1000,)
+
+
 class TestRespawnStormBreaker:
     def test_storm_trips_breaker(self):
         # Every spawned worker dies before completing a single task;
         # without the breaker this would respawn until attempts ran out.
         for start_method in START_METHODS:
             specs = [TaskSpec(key=i, fn=exit_always, args=(i,),
-                              max_attempts=10)
+                              max_attempts=2 * LIMIT)
                      for i in range(4)]
             with pytest.raises(RespawnStormError) as excinfo:
-                run_tasks(specs, jobs=1, crash_storm_limit=3,
-                          start_method=start_method)
+                run_tasks(specs, jobs=1, start_method=start_method)
             exc = excinfo.value
-            assert exc.deaths == 3
-            assert "3 consecutive workers" in str(exc)
+            assert exc.deaths == LIMIT
+            assert f"{LIMIT} consecutive workers" in str(exc)
             assert exc.last_exitcode == 7
 
     def test_intermittent_crashes_do_not_trip(self):
-        # Crashes interleaved with completed tasks: every success (and
-        # every warm-worker death) resets the breaker, so two isolated
-        # crashes never read as a storm even with the limit at 2.
+        # LIMIT crashes interleaved with completed tasks: every success
+        # (and every warm-worker death) resets the breaker, so isolated
+        # crashes never read as a storm.
         specs = []
-        for i in range(2):
+        for i in range(LIMIT):
             specs.append(TaskSpec(
                 key=(i, "crash"), fn=exit_if_small,
                 args=(lambda a, i=i: (i if a == 1 else i + 1000,)),
                 max_attempts=2))
             specs.append(TaskSpec(key=(i, "ok"), fn=square, args=(i,)))
-        report = run_tasks(specs, jobs=1, crash_storm_limit=2)
+        report = run_tasks(specs, jobs=1)
         assert all(r.ok for r in report.results)
-        assert report.stats.worker_crashes == 2
+        assert report.stats.worker_crashes == LIMIT
 
     def test_boundary_one_fewer_than_limit_does_not_trip(self):
         # Exactly limit-1 consecutive cold deaths followed by a success:
         # the breaker must stay closed — it trips at the limit, not
         # before it.
-        spec = TaskSpec(key=0, fn=exit_if_small,
-                        args=(lambda a: (0 if a <= 2 else 1000,)),
-                        max_attempts=3)
-        report = run_tasks([spec], jobs=1, crash_storm_limit=3)
+        spec = TaskSpec(key=0, fn=exit_if_small, args=crash_until(LIMIT - 1),
+                        max_attempts=LIMIT)
+        report = run_tasks([spec], jobs=1)
         result = report.results[0]
         assert result.ok
-        assert result.attempts == 3
-        assert report.stats.worker_crashes == 2
+        assert result.attempts == LIMIT
+        assert report.stats.worker_crashes == LIMIT - 1
 
     def test_boundary_exactly_limit_trips(self):
-        # The same workload with the limit lowered by one: the second
-        # cold death is now the limit-th and must raise.
-        spec = TaskSpec(key=0, fn=exit_if_small,
-                        args=(lambda a: (0 if a <= 2 else 1000,)),
-                        max_attempts=3)
+        # The same workload with one more crash: the limit-th
+        # consecutive cold death must raise.
+        spec = TaskSpec(key=0, fn=exit_if_small, args=crash_until(LIMIT),
+                        max_attempts=LIMIT + 1)
         with pytest.raises(RespawnStormError) as excinfo:
-            run_tasks([spec], jobs=1, crash_storm_limit=2)
-        assert excinfo.value.deaths == 2
+            run_tasks([spec], jobs=1)
+        assert excinfo.value.deaths == LIMIT
         assert excinfo.value.last_exitcode == 3
 
     def test_timeout_kill_interleaved_with_crash_on_same_slot(self):
-        # jobs=1: a deliberate timeout kill and a genuine crash land on
-        # successive incarnations of the same worker slot. Only the
-        # crash is a cold death — if the timeout kill counted too, the
-        # breaker (limit 2) would trip here.
-        specs = [
-            TaskSpec(key="hang", fn=sleep_if_two,
-                     args=(lambda a: (2 if a == 1 else 1,)),
-                     max_attempts=2),
-            TaskSpec(key="crash", fn=exit_if_small,
-                     args=(lambda a: (0 if a == 1 else 1000,)),
-                     max_attempts=2),
-        ]
-        report = run_tasks(specs, jobs=1, timeout=1.0, crash_storm_limit=2)
-        by_key = {r.key: r for r in report.results}
-        assert by_key["hang"].ok and by_key["hang"].attempts == 2
-        assert by_key["crash"].ok and by_key["crash"].attempts == 2
+        # jobs=1: a deliberate timeout kill is followed by limit-1
+        # genuine crashes on successive incarnations of the same worker
+        # slot. Only the crashes are cold deaths — if the timeout kill
+        # counted too, the breaker would trip here.
+        specs = [TaskSpec(key="hang", fn=sleep_if_two,
+                          args=(lambda a: (2 if a == 1 else 1,)),
+                          max_attempts=2)]
+        specs += [TaskSpec(key=("crash", i), fn=exit_if_small,
+                           args=crash_until(1), max_attempts=2)
+                  for i in range(LIMIT - 1)]
+        report = run_tasks(specs, jobs=1, timeout=1.0)
+        assert all(r.ok and r.attempts == 2 for r in report.results)
         assert report.stats.timeouts == 1
-        assert report.stats.worker_crashes == 1
-        assert "timeout after 1.0s" in by_key["hang"].telemetry.last_error
-        assert "worker process died" in by_key["crash"].telemetry.last_error
-
-    def test_breaker_disabled_with_none(self):
-        specs = [TaskSpec(key=0, fn=exit_always, args=(0,), max_attempts=3)]
-        report = run_tasks(specs, jobs=1, crash_storm_limit=None)
-        assert report.results[0].status == "failed"
-        assert "worker process died" in report.results[0].error
-
-    def test_breaker_limit_validated(self):
-        with pytest.raises(ValueError):
-            run_tasks([TaskSpec(key=0, fn=square, args=(0,))],
-                      crash_storm_limit=0)
-
-
-class TestRetryBackoff:
-    def test_retry_delay_holds_failed_task_back(self):
-        spec = TaskSpec(key=0, fn=exit_if_small,
-                        args=(lambda a: (0 if a == 1 else 1000,)),
-                        max_attempts=2,
-                        retry_delay=lambda a: 0.3)
-        start = time.perf_counter()
-        report = run_tasks([spec], jobs=1)
-        elapsed = time.perf_counter() - start
-        result = report.results[0]
-        assert result.ok and result.attempts == 2
-        assert report.stats.retry_backoff_s == pytest.approx(0.3)
-        assert elapsed >= 0.3
-
-    def test_negative_delay_clamped_to_zero(self):
-        spec = TaskSpec(key=0, fn=exit_if_small,
-                        args=(lambda a: (0 if a == 1 else 1000,)),
-                        max_attempts=2,
-                        retry_delay=lambda a: -5.0)
-        report = run_tasks([spec], jobs=1)
-        assert report.results[0].ok
-        assert report.stats.retry_backoff_s == 0.0
-
-    def test_no_delay_by_default(self):
-        spec = TaskSpec(key=0, fn=exit_if_small,
-                        args=(lambda a: (0 if a == 1 else 1000,)),
-                        max_attempts=2)
-        report = run_tasks([spec], jobs=1)
-        assert report.results[0].ok
-        assert report.stats.retry_backoff_s == 0.0
-        assert report.stats.as_dict()["retry_backoff_s"] == 0.0
-
-    def test_siblings_drain_during_backoff(self):
-        # The delay holds back only the failed task; the lone worker
-        # keeps draining the queue meanwhile.
-        specs = [TaskSpec(key="retry", fn=exit_if_small,
-                          args=(lambda a: (0 if a == 1 else 1000,)),
-                          max_attempts=2,
-                          retry_delay=lambda a: 0.4)]
-        specs += [TaskSpec(key=i, fn=square, args=(i,)) for i in range(3)]
-        report = run_tasks(specs, jobs=1)
-        assert all(r.ok for r in report.results)
-        assert report.stats.retry_backoff_s == pytest.approx(0.4)
+        assert report.stats.worker_crashes == LIMIT - 1
+        hang, crash = report.results[0], report.results[1]
+        assert "timeout after 1.0s" in hang.telemetry.last_error
+        assert "worker process died" in crash.telemetry.last_error

@@ -147,52 +147,29 @@ class TestRetryAndFailure:
         assert "timeout" in by_seed[2].error
 
 
-class TestRetryBackoff:
-    """Backoff shapes *when* retries run, never *what* they produce."""
+class TestRetryReseedPinned:
+    """A retried sweep's digests, pinned at their measured values.
 
-    def test_backoff_invisible_in_digest(self, tmp_path):
-        path_plain = str(tmp_path / "nobackoff.jsonl")
-        path_delayed = str(tmp_path / "backoff.jsonl")
-        plain = run_resilient_sweep(_config(), SEEDS, VALUE,
-                                    task=task_crash_small_seeds,
-                                    max_attempts=2, retry_backoff=0.0,
-                                    journal_path=path_plain)
-        delayed = run_resilient_sweep(_config(), SEEDS, VALUE,
-                                      task=task_crash_small_seeds,
-                                      max_attempts=2, retry_backoff=0.05,
-                                      journal_path=path_delayed)
-        assert plain.canonical_digest() == delayed.canonical_digest()
-        assert journal_digest(path_plain) == journal_digest(path_delayed)
+    Every replicate crashes on its requested seed and succeeds on the
+    re-seeded second attempt, so these digests fix the retry-seed
+    derivation (``_derive_seed``/``_used_seed``) and the journal format
+    of retried replicates. Like ``PINNED_DIGESTS``, re-pin only with a
+    recorded justification.
+    """
 
-    def test_backoff_seconds_accounted(self):
+    CANONICAL = ("6c7049700c2c48802955ff0e91f918a3"
+                 "d1474e9de5eb97814c89e0ec8181c899")
+    JOURNAL = ("81cf7f69f8bd953a6b1e74aea274a216"
+               "59aa60581f53fe965bbb2aa64c9ac3c9")
+
+    def test_retried_sweep_digests_pinned(self, tmp_path):
+        path = str(tmp_path / "retried.jsonl")
         sweep = run_resilient_sweep(_config(), SEEDS, VALUE,
                                     task=task_crash_small_seeds,
-                                    max_attempts=2, retry_backoff=0.05)
-        assert sweep.telemetry["retry_backoff_s"] > 0.0
-
-    def test_jitter_deterministic_and_bounded(self):
-        from repro.experiments.replicates import (
-            _config_fingerprint,
-            _retry_delay_fn,
-        )
-        fingerprint = _config_fingerprint(_config())
-        delay = _retry_delay_fn(fingerprint, 7, 0.25, 30.0)
-        # Attempt 1 is not a retry and never waits.
-        assert delay(1) == 0.0
-        # Deterministic: same (fingerprint, seed, attempt) -> same delay.
-        assert delay(2) == delay(2)
-        # Exponential base with jitter in [0, 1): base*2^(k-2) .. 2x that.
-        assert 0.25 <= delay(2) < 0.5
-        assert 0.5 <= delay(3) < 1.0
-        # The exponential term is capped (jitter may still ride on top).
-        assert delay(50) <= 60.0
-        # Different seeds jitter differently (with overwhelming odds).
-        other = _retry_delay_fn(fingerprint, 8, 0.25, 30.0)
-        assert delay(2) != other(2)
-
-    def test_backoff_disabled_returns_no_delay_fn(self):
-        from repro.experiments.replicates import _retry_delay_fn
-        assert _retry_delay_fn("fp", 1, 0.0, 30.0) is None
+                                    max_attempts=2, journal_path=path)
+        assert sweep.canonical_digest() == self.CANONICAL
+        assert journal_digest(path) == self.JOURNAL
+        assert all(o.attempts == 2 for o in sweep.outcomes)
 
 
 class TestJournal:
@@ -554,7 +531,7 @@ class TestResultCache:
     def _sweep(self, seeds=SEEDS, extractors=VALUE, **over):
         return run_resilient_sweep(_config(), seeds, extractors,
                                    task=task_identity, jobs=2,
-                                   timeout=60.0, retry_backoff=0.0, **over)
+                                   timeout=60.0, **over)
 
     def test_warm_cache_rerun_is_digest_identical(self, tmp_path):
         cache_dir = str(tmp_path / "cache")

@@ -162,11 +162,18 @@ class TestCommands:
         assert "--cache-strict needs --cache-dir" in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_sweep_rejects_zero_replicates(self, capsys):
+    @pytest.mark.parametrize("flag, value, problem", [
+        ("--replicates", "0", "--replicates must be >= 1"),
+        ("--jobs", "0", "--jobs must be >= 1"),
+        ("--max-attempts", "0", "--max-attempts must be >= 1"),
+        ("--timeout", "0", "--timeout must be > 0"),
+    ], ids=["replicates", "jobs", "max-attempts", "timeout"])
+    def test_sweep_rejects_zero_replicates(self, capsys, flag, value,
+                                           problem):
         code = main(["sweep", "--algorithm", "altruism", "--scale", "smoke",
-                     "--replicates", "0"])
+                     "--replicates", "2", flag, value])
         assert code == 2
-        assert "must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"sweep: {problem}\n"
 
     def test_figure4_smoke(self, capsys):
         code = main(["figure4", "--scale", "smoke", "--seed", "2"])

@@ -108,3 +108,12 @@ class TestNegativeCases:
         markdown = "```python\nx = definitely_undefined\n```\n"
         assert check_docs.check_doctests(REPO_ROOT / "README.md",
                                          markdown) == []
+
+    def test_unknown_cli_flag_detected(self):
+        # The made-up flag sits on a continuation line; --jobs is real.
+        markdown = ("```console\n$ python -m repro sweep --jobs 2 \\\n"
+                    "      --no-such-flag 3\n```\n")
+        problems = check_docs.check_cli_flags(REPO_ROOT / "README.md",
+                                              markdown, check_docs.cli_flags())
+        assert problems == ["README.md: `repro sweep` has no "
+                            "--no-such-flag flag"]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs health checker: do the documents still match the repo?
 
-Two mechanical checks over the curated markdown set (README + the
+Three mechanical checks over the curated markdown set (README + the
 top-level reference documents + everything in ``docs/``):
 
 * **Links resolve.** Every relative markdown link must point at a file
@@ -10,19 +10,25 @@ top-level reference documents + everything in ``docs/``):
 * **Doctests pass.** Any fenced ``python`` block containing ``>>>``
   prompts is executed as a doctest against the installed ``repro``
   package, so documented behaviour cannot silently drift from code.
+* **CLI examples parse.** Every ``python -m repro <cmd> ...`` or
+  ``repro <cmd> ...`` command line (``\\`` continuations joined) may
+  use only ``--flags`` that ``repro.cli.build_parser()`` accepts for
+  that subcommand, so a renamed or deleted flag cannot linger in an
+  example.
 
 Run directly (``python tools/check_docs.py``) for a report and a
 non-zero exit on problems; ``tests/test_docs_health.py`` wraps the
-same functions so tier-1 CI enforces both checks.
+same functions so tier-1 CI enforces all three checks.
 """
 
 from __future__ import annotations
 
+import argparse
 import doctest
 import pathlib
 import re
 import sys
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -46,6 +52,12 @@ _PYTHON_FENCE_RE = re.compile(r"^```python[^\n]*\n(.*?)^```[ \t]*$",
                               re.M | re.S)
 _HEADING_RE = re.compile(r"^#{1,6}[ \t]+(.+?)[ \t]*$", re.M)
 _EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
+#: ``repro <cmd>``, bare or after ``python -m`` (not a path or module
+#: name such as ``src/repro`` or ``repro.sim``).
+_COMMAND_RE = re.compile(r"(?<![\w/.-])repro[ \t]+([a-z][\w-]*)")
+#: Where a command line ends: a code span, a comment, a pipe or chain.
+_COMMAND_END_RE = re.compile(r"`| #|\||;|&&")
+_FLAG_RE = re.compile(r"(?<![\w-])(--[a-z][\w-]*)")
 
 
 def doc_files() -> List[pathlib.Path]:
@@ -129,9 +141,42 @@ def check_doctests(path: pathlib.Path, markdown: str) -> List[str]:
     return problems
 
 
+def cli_flags() -> Dict[str, Set[str]]:
+    """Subcommand -> the option strings ``build_parser()`` accepts."""
+    from repro.cli import build_parser
+
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {name: set(parser._option_string_actions)
+            for name, parser in subparsers.choices.items()}
+
+
+def check_cli_flags(path: pathlib.Path, markdown: str,
+                    flags: Dict[str, Set[str]]) -> List[str]:
+    """Documented ``repro`` command lines using flags the CLI rejects.
+
+    ``repro <word>`` naming no subcommand is prose and is skipped.
+    """
+    problems: List[str] = []
+    rel = path.relative_to(REPO_ROOT)
+    joined = re.sub(r"\\\n[ \t]*", " ", markdown)
+    for line in joined.splitlines():
+        for match in _COMMAND_RE.finditer(line):
+            cmd = match.group(1)
+            if cmd not in flags:
+                continue
+            rest = _COMMAND_END_RE.split(line[match.end():], 1)[0]
+            for flag in _FLAG_RE.findall(rest):
+                if flag not in flags[cmd]:
+                    problems.append(f"{rel}: `repro {cmd}` has no "
+                                    f"{flag} flag")
+    return problems
+
+
 def run_checks(paths: Iterable[pathlib.Path] = ()) -> List[str]:
     """All problems across the curated (or given) documents."""
     problems: List[str] = []
+    flags = cli_flags()
     for path in paths or doc_files():
         if not path.exists():
             problems.append(
@@ -140,6 +185,7 @@ def run_checks(paths: Iterable[pathlib.Path] = ()) -> List[str]:
         markdown = path.read_text(encoding="utf-8")
         problems.extend(check_links(path, markdown))
         problems.extend(check_doctests(path, markdown))
+        problems.extend(check_cli_flags(path, markdown, flags))
     return problems
 
 
