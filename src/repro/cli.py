@@ -361,7 +361,7 @@ def _apply_obs(config: SimulationConfig,
     """Enable the observability layer when any of its flags were used.
 
     May raise :class:`ConfigurationError` (unknown category, bad rate);
-    callers translate that into exit code 2.
+    :func:`main` translates that into exit code 2.
     """
     rates = _parse_sample_rates(args.sample_rate)
     trace = bool(args.trace or args.trace_out or rates)
@@ -422,11 +422,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if faults.enabled:
         config = config.with_faults(faults)
     config = _apply_guards(config, args)
-    try:
-        config = _apply_obs(config, args)
-    except ConfigurationError as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return 2
+    config = _apply_obs(config, args)
     for flag, value in (("--subswarms", args.subswarms),
                         ("--coupling-interval", args.coupling_interval),
                         ("--jobs", args.jobs)):
@@ -434,13 +430,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"run: {flag} requires --population", file=sys.stderr)
             return 2
     if args.population is not None:
-        try:
-            config = config.with_population(
-                args.population, n_subswarms=args.subswarms,
-                coupling_interval=args.coupling_interval)
-        except ConfigurationError as exc:
-            print(f"run: {exc}", file=sys.stderr)
-            return 2
+        config = config.with_population(
+            args.population, n_subswarms=args.subswarms,
+            coupling_interval=args.coupling_interval)
     downgrade_reason: Optional[str] = None
     if args.backend != "object":
         config = config.with_backend(args.backend)
@@ -553,24 +545,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if faults.enabled:
         config = config.with_faults(faults)
     config = _apply_guards(config, args)
-    try:
-        config = _apply_obs(config, args)
-    except ConfigurationError as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 2
+    config = _apply_obs(config, args)
     for flag, value in (("--subswarms", args.subswarms),
                         ("--coupling-interval", args.coupling_interval)):
         if value is not None and args.population is None:
             print(f"sweep: {flag} requires --population", file=sys.stderr)
             return 2
     if args.population is not None:
-        try:
-            config = config.with_population(
-                args.population, n_subswarms=args.subswarms,
-                coupling_interval=args.coupling_interval)
-        except ConfigurationError as exc:
-            print(f"sweep: {exc}", file=sys.stderr)
-            return 2
+        config = config.with_population(
+            args.population, n_subswarms=args.subswarms,
+            coupling_interval=args.coupling_interval)
     if args.backend != "object" and args.backend_fallback == "error":
         # The config is uniform across replicates, so every one would
         # raise in its worker; refuse up front with a clear message.
@@ -688,23 +672,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     overrides = {}
     if args.buffer is not None:
         overrides["trace_buffer"] = args.buffer
-    try:
-        rates = _parse_sample_rates(args.sample_rate)
-        if rates:
-            overrides["trace_sample_rates"] = rates
-        config = SimulationConfig(
-            algorithm=algorithm,
-            n_users=args.users,
-            n_pieces=args.pieces,
-            seed=args.seed,
-            freerider_fraction=args.freeriders,
-            attack=targeted_attack_for(algorithm),
-            max_rounds=args.max_rounds,
-        ).with_obs(trace=True, sample_every=args.sample_every,
-                   profile=True, **overrides)
-    except ConfigurationError as exc:
-        print(f"trace: {exc}", file=sys.stderr)
-        return 2
+    rates = _parse_sample_rates(args.sample_rate)
+    if rates:
+        overrides["trace_sample_rates"] = rates
+    config = SimulationConfig(
+        algorithm=algorithm,
+        n_users=args.users,
+        n_pieces=args.pieces,
+        seed=args.seed,
+        freerider_fraction=args.freeriders,
+        attack=targeted_attack_for(algorithm),
+        max_rounds=args.max_rounds,
+    ).with_obs(trace=True, sample_every=args.sample_every,
+               profile=True, **overrides)
     sim = Simulation(config)
     try:
         sim.run()
@@ -764,18 +744,22 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "tables":
-        return _cmd_tables(args)
-    if args.command in ("figure4", "figure5", "figure6"):
-        return _cmd_figure(args, args.command)
-    if args.command == "report":
-        return _cmd_report(args)
+    try:
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "sweep":
+            return _cmd_sweep(args)
+        if args.command == "trace":
+            return _cmd_trace(args)
+        if args.command == "tables":
+            return _cmd_tables(args)
+        if args.command in ("figure4", "figure5", "figure6"):
+            return _cmd_figure(args, args.command)
+        if args.command == "report":
+            return _cmd_report(args)
+    except ConfigurationError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 
 

@@ -175,6 +175,29 @@ class TestCommands:
         assert code == 2
         assert capsys.readouterr().err == f"sweep: {problem}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--users", "1"], "run: n_users must be at least 2"),
+        (["run", "--pieces", "0"], "run: n_pieces must be at least 1"),
+        (["run", "--max-rounds", "0"], "run: max_rounds must be >= 1"),
+        (["run", "--freeriders", "1.5"],
+         "run: freerider_fraction must lie in [0, 1)"),
+        (["run", "--guards", "full", "--watchdog-window", "0"],
+         "run: guards.watchdog_window must be >= 1 rounds"),
+        (["run", "--users", "100", "--pieces", "8", "--population", "200",
+          "--subswarms", "2", "--jobs", "0"], "run: jobs must be >= 1"),
+        (["sweep", "--scale", "smoke", "--freeriders", "2"],
+         "sweep: freerider_fraction must lie in [0, 1)"),
+        (["sweep", "--scale", "smoke", "--seeder-outage-rate", "0.1",
+          "--seeder-outage-duration", "0"],
+         "sweep: seeder_outage_duration must be >= 1"),
+    ], ids=["users", "pieces", "max-rounds", "freeriders", "watchdog-window",
+            "hybrid-jobs", "sweep-freeriders", "sweep-outage-duration"])
+    def test_invalid_config_exits_2(self, capsys, argv, message):
+        assert main(argv + ["--algorithm", "tchain"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert len(err.strip().splitlines()) == 1
+
     def test_figure4_smoke(self, capsys):
         code = main(["figure4", "--scale", "smoke", "--seed", "2"])
         assert code == 0

@@ -117,3 +117,14 @@ class TestNegativeCases:
                                               markdown, check_docs.cli_flags())
         assert problems == ["README.md: `repro sweep` has no "
                             "--no-such-flag flag"]
+
+    def test_missing_file_path_detected(self):
+        # One missing script; real files under the root, src/repro/ and
+        # the document's directory, and an absolute path, all pass.
+        markdown = ("Run `benchmarks/no_such_bench.py`, see "
+                    "`benchmarks/bench_fig3.py`, `sim/engine.py`, "
+                    "`../README.md` and `/tmp/out/run.json`.")
+        problems = check_docs.check_paths(REPO_ROOT / "docs" / "SIMULATOR.md",
+                                          markdown)
+        assert problems == ["docs/SIMULATOR.md: names missing file "
+                            "benchmarks/no_such_bench.py"]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs health checker: do the documents still match the repo?
 
-Three mechanical checks over the curated markdown set (README + the
+Four mechanical checks over the curated markdown set (README + the
 top-level reference documents + everything in ``docs/``):
 
 * **Links resolve.** Every relative markdown link must point at a file
@@ -15,10 +15,16 @@ top-level reference documents + everything in ``docs/``):
   use only ``--flags`` that ``repro.cli.build_parser()`` accepts for
   that subcommand, so a renamed or deleted flag cannot linger in an
   example.
+* **Named files exist.** Every path with a ``/`` that ends in
+  ``.py``, ``.json``, ``.jsonl``, ``.md``, ``.yml`` or ``.toml``, in
+  prose or code, must name a file relative to the repo root, ``src/``,
+  ``src/repro/`` or the document's own directory, so a deleted script
+  or data file cannot linger in the text. Absolute paths (``/tmp/...``)
+  name the reader's machine and are skipped.
 
 Run directly (``python tools/check_docs.py``) for a report and a
 non-zero exit on problems; ``tests/test_docs_health.py`` wraps the
-same functions so tier-1 CI enforces all three checks.
+same functions so tier-1 CI enforces all four checks.
 """
 
 from __future__ import annotations
@@ -58,6 +64,10 @@ _COMMAND_RE = re.compile(r"(?<![\w/.-])repro[ \t]+([a-z][\w-]*)")
 #: Where a command line ends: a code span, a comment, a pipe or chain.
 _COMMAND_END_RE = re.compile(r"`| #|\||;|&&")
 _FLAG_RE = re.compile(r"(?<![\w-])(--[a-z][\w-]*)")
+#: A relative file path: no leading ``/`` (and not inside a URL), at
+#: least one ``/``, a known extension not followed by more name.
+_PATH_RE = re.compile(r"(?<![\w./:~-])([\w.-][\w./-]*/[\w./-]*?"
+                      r"\.(?:py|jsonl|json|md|yml|toml))(?![\w/-]|\.\w)")
 
 
 def doc_files() -> List[pathlib.Path]:
@@ -173,6 +183,18 @@ def check_cli_flags(path: pathlib.Path, markdown: str,
     return problems
 
 
+def check_paths(path: pathlib.Path, markdown: str) -> List[str]:
+    """File paths named in one document that exist nowhere we look."""
+    problems: List[str] = []
+    rel = path.relative_to(REPO_ROOT)
+    bases = (REPO_ROOT, REPO_ROOT / "src", REPO_ROOT / "src" / "repro",
+             path.parent)
+    for target in dict.fromkeys(_PATH_RE.findall(markdown)):
+        if not any((base / target).is_file() for base in bases):
+            problems.append(f"{rel}: names missing file {target}")
+    return problems
+
+
 def run_checks(paths: Iterable[pathlib.Path] = ()) -> List[str]:
     """All problems across the curated (or given) documents."""
     problems: List[str] = []
@@ -186,6 +208,7 @@ def run_checks(paths: Iterable[pathlib.Path] = ()) -> List[str]:
         problems.extend(check_links(path, markdown))
         problems.extend(check_doctests(path, markdown))
         problems.extend(check_cli_flags(path, markdown, flags))
+        problems.extend(check_paths(path, markdown))
     return problems
 
 
