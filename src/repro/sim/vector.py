@@ -16,7 +16,11 @@ peer:
   per-slot arrays;
 * T-Chain pending obligations as per-slot dicts with a per-slot
   oldest-round column for the blacklist and expiry tests, and an
-  uploader-to-slots reverse index for orphan drops.
+  uploader-to-slots reverse index for orphan drops;
+* the large-view member ids, the completed members and the fairness
+  sample's ratio lists, updated at the events that change them so
+  arrivals, departures and samples never rescan the swarm (see
+  docs/SIMULATOR.md, "Per-event bookkeeping").
 
 Each uploader turn computes its needy-neighbor pool *once* with one
 pass over its sorted view, and repairs it in place after every send
@@ -352,6 +356,36 @@ class VectorSimulation:
         self._turn: Optional[_Turn] = None
         self._coalition: List[int] = []             # coalition slots
 
+        # ---- per-event bookkeeping (docs/SIMULATOR.md) --------------
+        # Kept up to date where members join, leave or change, so no
+        # round phase has to rescan the whole swarm.
+        #: Ids of large-view members (seeders, large-view attackers):
+        #: every newcomer joins their views.
+        self._largev_ids: Set[int] = set()
+        #: Member-insertion sequence number per slot (re-stamped by a
+        #: whitewash, which re-inserts the slot under a new id), so
+        #: sorting slots by it gives ``members`` order.
+        self._joined: List[int] = [0] * n_slots
+        self._join_seq = 0
+        #: Completed member slots, added where ``comp`` is first set;
+        #: they leave through ``_process_departures``.
+        self._complete: Set[int] = set()
+        #: Fairness sample over compliant members (neither seeder nor
+        #: free-rider): their ids ascending, with parallel up/down and
+        #: down/up ratios holding 0.0 where the denominator is 0, the
+        #: number of real entries in each, and per slot whether it is
+        #: listed and which of its ratios are counted. Slots whose
+        #: ``up``/``down`` moved since the last sample are dirty.
+        self._fair_ids: List[int] = []
+        self._fair_ud: List[float] = []
+        self._fair_du: List[float] = []
+        self._fair_nud = 0
+        self._fair_ndu = 0
+        self._fair_in: List[bool] = [False] * n_slots
+        self._fair_hasd: List[bool] = [False] * n_slots
+        self._fair_hasu: List[bool] = [False] * n_slots
+        self._fair_dirty: Set[int] = set()
+
         self._install_topology()
 
         # ---- population (mirrors Simulation._build_population) ------
@@ -480,13 +514,25 @@ class VectorSimulation:
         pid = self.ids[s]
         self.members[pid] = s
         insort(self.active, pid)
+        self._stamp_join(s)
+        if not (self.seeder[s] or self.free[s]):
+            self._fair_join(s)
         for piece in iter_bits(self.usable[s]):
             self.availability.add_piece(piece)
         self._build_view(s)
 
+    def _stamp_join(self, s: int) -> None:
+        self._join_seq += 1
+        self._joined[s] = self._join_seq
+
     def _build_view(self, s: int) -> None:
+        """Connect newcomer ``s`` (the last key of ``members``) to its
+        chosen view and to every large-view member, and register it
+        as one if it has a large view itself."""
         pid = self.ids[s]
-        others = [q for q in self.members if q != pid]
+        members = self.members
+        others = list(members)
+        others.pop()  # ``pid`` itself, inserted just before this call
         if self.largev[s]:
             chosen = others
         elif pid in self._static_views:
@@ -495,37 +541,35 @@ class VectorSimulation:
         else:
             k = min(self.neighbor_count, len(others))
             chosen = self._views_rng.sample(others, k) if k else []
-        for q in chosen:
-            self._connect(pid, q)
-        # Existing large-view attackers connect to every newcomer too.
-        largev = self.largev
-        for q, os_ in self.members.items():
-            if largev[os_] and q != pid:
-                self._connect(pid, q)
+        # Existing large-view members connect to every newcomer too.
+        new = set(chosen)
+        new |= self._largev_ids
+        if self.largev[s]:
+            self._largev_ids.add(pid)
+        if not new:
+            return
+        # ``pid`` is a fresh id, so every edge is new on both ends:
+        # both views change, and both ends wake.
+        vset = self.vset
+        varr = self.varr
+        vset[pid] = new
+        for q in new:
+            vq = vset.get(q)
+            if vq is None:
+                vset[q] = {pid}
+            else:
+                vq.add(pid)
+            varr.pop(q, None)
+        if self._any_slept:
+            self._wake(s)
+            for q in new:
+                self._wake(members[q])
 
     def _wake(self, s: int) -> None:
         """End slot ``s``'s dormancy: its next turn runs its kernel."""
         z = self._slept[s]
         if z > 0:
             self._slept[s] = -z
-
-    def _connect(self, a: int, b: int) -> None:
-        va = self.vset.get(a)
-        if va is None:
-            va = self.vset[a] = set()
-        if b not in va:
-            va.add(b)
-            self.varr.pop(a, None)
-            if self._any_slept:
-                self._wake(self.members[a])
-        vb = self.vset.get(b)
-        if vb is None:
-            vb = self.vset[b] = set()
-        if a not in vb:
-            vb.add(a)
-            self.varr.pop(b, None)
-            if self._any_slept:
-                self._wake(self.members[b])
 
     def _disconnect_all(self, pid: int) -> None:
         neighbors = self.vset.pop(pid, set())
@@ -552,14 +596,19 @@ class VectorSimulation:
             if not vs:
                 hit = ([], [])
             else:
+                # Every view member is a current member.
                 vids = sorted(vs)
-                hit = (vids, self.slot_np[vids].tolist())
+                hit = (vids, list(map(self.members.__getitem__, vids)))
             self.varr[pid] = hit
         return hit
 
     def _remove_member(self, pid: int) -> None:
         s = self.members.pop(pid)
         self.active.pop(bisect_left(self.active, pid))
+        self._largev_ids.discard(pid)
+        self._complete.discard(s)
+        if self._fair_in[s]:
+            self._fair_leave(s)
         for piece in iter_bits(self.usable[s]):
             self.availability.remove_piece(piece)
         self._disconnect_all(pid)
@@ -569,6 +618,7 @@ class VectorSimulation:
         old = self.ids[s]
         del self.members[old]
         self.active.pop(bisect_left(self.active, old))
+        self._largev_ids.discard(old)
         self._disconnect_all(old)
         self.rep[old] = 0.0
         if self.D is not None:
@@ -582,6 +632,9 @@ class VectorSimulation:
         self.ids[s] = new
         self.members[new] = s
         insort(self.active, new)
+        # Only free-riders whitewash, and they are not in the fairness
+        # sample, so only the join stamp moves with the id.
+        self._stamp_join(s)
         self._build_view(s)
 
     def _sync_coalition(self) -> None:
@@ -667,6 +720,7 @@ class VectorSimulation:
         if self.cnt[s] == self.n_pieces and self.comp[s] is None:
             self.comp[s] = self.now
             self.ncomp += 1
+            self._complete.add(s)
             self._mark_done(s)
 
     def _plain_send(self, u: int, target_id: int,
@@ -705,6 +759,7 @@ class VectorSimulation:
         self.up[u] += 1
         from_seeder = self.seeder[u]
         if not from_seeder:
+            self._fair_dirty.add(u)
             # _report_upload, inlined: delayed reports queue by the
             # uploader's lineage and land (or drop) at flush time.
             if self._delay_on:
@@ -740,6 +795,7 @@ class VectorSimulation:
             self._rcv_dirty.add(ts)
         self.raw[ts] += 1
         self.down[ts] += 1
+        self._fair_dirty.add(ts)
         # _add_usable, inlined.
         bit = 1 << piece
         self.usable[ts] |= bit
@@ -766,6 +822,7 @@ class VectorSimulation:
         if cnt == self.n_pieces and self.comp[ts] is None:
             self.comp[ts] = self.now
             self.ncomp += 1
+            self._complete.add(ts)
             self._mark_done(ts)
         # Repair the turn's needy pool: only the target changed state.
         # Post-send interest is the pre-send candidate mask minus the
@@ -837,6 +894,7 @@ class VectorSimulation:
         self.cnt[s] += 1
         self._avail_add(piece)
         self.down[s] += 1
+        self._fair_dirty.add(s)
         if self.free[s]:
             self._c_fr += 1  # record_unlock, batched
         self._piece_gained(s)
@@ -882,6 +940,7 @@ class VectorSimulation:
         uid = self.ids[u]
         self.up[u] += 1
         if not from_seeder:
+            self._fair_dirty.add(u)
             if self._delay_on:
                 self._delayed_reports.append(
                     (self.round_index + self._delay_rounds,
@@ -910,6 +969,7 @@ class VectorSimulation:
         if colluding:
             self._add_usable(ts, piece)
             self.down[ts] += 1
+            self._fair_dirty.add(ts)
             self._c_fr += 1  # record_unlock(for_freerider=True), batched
             self._piece_gained(ts)
         else:
@@ -1149,24 +1209,18 @@ class VectorSimulation:
                 self.collector.record_orphaned_obligations(len(orphaned))
 
     def _process_departures(self) -> None:
-        # One filtering pass in membership order; a departure changes
-        # no other member's piece count, so filtering up front selects
-        # the same peers as testing each one inside the loop.
-        seeder = self.seeder
-        cnt = self.cnt
-        npieces = self.n_pieces
-        complete = [(pid, s) for pid, s in self.members.items()
-                    if cnt[s] >= npieces and not seeder[s]]
+        # Completed members in membership order: a departure changes no
+        # other member's piece count, so the set taken up front is the
+        # one testing each member inside the loop would select.
+        complete = self._complete
         if not complete:
             return
         linger = self.config.seed_linger_rate
-        for pid, s in complete:
-            if self.comp[s] is None:
-                self.comp[s] = self.now
-                self.ncomp += 1
-                self._mark_done(s)
+        ids = self.ids
+        for s in sorted(complete, key=self._joined.__getitem__):
             if linger is not None and self._linger_rng.random() >= linger:
                 continue  # stays one more round as a lingering seed
+            pid = ids[s]
             self.departed_f[s] = True
             self._remove_member(pid)
             self._drop_orphaned(pid)
@@ -1276,34 +1330,77 @@ class VectorSimulation:
                                                self._c_fr)
             self._c_tot = self._c_peer = self._c_fr = 0
 
-    def _sample(self) -> None:
-        self._flush_counters()
-        # Filtering passes over the active peers in id order: the ratio
-        # lists, and so their left-to-right sums, are unchanged.
-        seeder = self.seeder
-        free = self.free
+    def _fair_join(self, s: int) -> None:
+        """List compliant slot ``s`` with placeholder ratios; it is
+        marked dirty so the next sample fills in its real ones."""
+        pid = self.ids[s]
+        i = bisect_left(self._fair_ids, pid)
+        self._fair_ids.insert(i, pid)
+        self._fair_ud.insert(i, 0.0)
+        self._fair_du.insert(i, 0.0)
+        self._fair_in[s] = True
+        self._fair_dirty.add(s)
+
+    def _fair_leave(self, s: int) -> None:
+        i = bisect_left(self._fair_ids, self.ids[s])
+        del self._fair_ids[i], self._fair_ud[i], self._fair_du[i]
+        self._fair_nud -= self._fair_hasd[s]
+        self._fair_ndu -= self._fair_hasu[s]
+        self._fair_in[s] = False
+
+    def _refresh_fairness(self) -> None:
+        """Recompute the ratios of the dirty slots still listed.
+
+        ``up`` and ``down`` only grow, so a ratio once counted stays
+        counted and a placeholder only ever turns into a real ratio.
+        """
+        fair_in = self._fair_in
+        fids = self._fair_ids
+        fud = self._fair_ud
+        fdu = self._fair_du
+        hasd = self._fair_hasd
+        hasu = self._fair_hasu
+        ids = self.ids
         up = self.up
         down = self.down
-        users = [s for s in map(self.members.__getitem__, self.active)
-                 if not seeder[s]]
-        count = len(users)
-        compliant = ([s for s in users if not free[s]] if self._coalition
-                     else users)  # the coalition is every free-rider
-        ud_ratios = [up[s] / down[s] for s in compliant if down[s] > 0]
-        du_ratios = [down[s] / up[s] for s in compliant if up[s] > 0]
-        fairness_ud = (sum(ud_ratios) / len(ud_ratios)
-                       if ud_ratios else None)
-        fairness_du = (sum(du_ratios) / len(du_ratios)
-                       if du_ratios else None)
+        for s in self._fair_dirty:
+            if not fair_in[s]:
+                continue
+            i = bisect_left(fids, ids[s])
+            u = up[s]
+            d = down[s]
+            if d:
+                fud[i] = u / d
+                if not hasd[s]:
+                    hasd[s] = True
+                    self._fair_nud += 1
+            if u:
+                fdu[i] = d / u
+                if not hasu[s]:
+                    hasu[s] = True
+                    self._fair_ndu += 1
+        self._fair_dirty.clear()
+
+    def _sample(self) -> None:
+        self._flush_counters()
+        if self._fair_dirty:
+            self._refresh_fairness()
+        # The ratio lists are in id order with 0.0 where a peer has no
+        # ratio; adding +0.0 leaves every partial sum (and the
+        # compensation term of 3.12's ``sum``) unchanged, so these are
+        # bit-identical to summing only the real ratios.
+        nud = self._fair_nud
+        ndu = self._fair_ndu
         self.collector.sample(
             time=self.now,
-            active_peers=count,
+            # Seeders never leave, so the rest of ``active`` are users.
+            active_peers=len(self.active) - self._n_seeders,
             arrived=self._arrived,
             population=self.config.n_users,
             bootstrapped=self.nboot,
             completed=self.ncomp,
-            fairness_ud=fairness_ud,
-            fairness_du=fairness_du,
+            fairness_ud=sum(self._fair_ud) / nud if nud else None,
+            fairness_du=sum(self._fair_du) / ndu if ndu else None,
         )
 
     # ------------------------------------------------------------------

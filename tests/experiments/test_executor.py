@@ -288,7 +288,7 @@ class TestFailureIsolation:
             assert elapsed < 20.0
 
 
-class TestRecyclingAndTelemetry:
+class TestTelemetry:
     def test_stats_accounting(self):
         specs = [TaskSpec(key=i, fn=square, args=(i,)) for i in range(4)]
         report = run_tasks(specs, jobs=2)

@@ -130,11 +130,12 @@ class TestWakeEvents:
     """Each wake source, on both engines, directly."""
 
     @staticmethod
-    def _populated(backend: str, algorithm=Algorithm.RECIPROCITY):
+    def _populated(backend: str, algorithm=Algorithm.RECIPROCITY,
+                   arrived: int = 12):
         sim = ENGINES[backend](SimulationConfig(
             algorithm=algorithm, n_users=12, n_pieces=8,
             neighbor_count=3, seed=2).with_backend(backend))
-        for index in range(sim.config.n_users):
+        for index in range(arrived):
             sim._on_arrival(index)
         sim.round_index = sim.now = 1
         return sim
@@ -168,22 +169,24 @@ class TestWakeEvents:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_view_changes_wake(self, backend):
-        sim = self._populated(backend)
-        a, b = sim.n_slots - 1, sim.n_slots - 2
-        ida, idb = sim.ids[a], sim.ids[b]
-        sim._disconnect_all(ida)
-        neighbors = sorted(sim.vset.get(idb, ()))
-        for s in (a, b):
+        sim = self._populated(backend, arrived=11)
+        slots = list(sim.members.values())
+        for s in slots:
             self._sleep(sim, s)
-        sim._connect(ida, idb)
-        assert sim._slept[a] == sim._slept[b] == -4
-        for s in (a, b):
+        sim._on_arrival(11)  # a newcomer's view edges wake both ends
+        a = sim.n_slots - 1
+        view = {sim.members[pid] for pid in sim.vset[sim.ids[a]]}
+        assert view and set(slots) - view
+        assert all(sim._slept[s] == (-4 if s in view else 4)
+                   for s in slots)
+        b = sim.n_slots - 2
+        idb = sim.ids[b]
+        neighbors = [sim.members[pid] for pid in sim.vset[idb]]
+        for s in [b] + neighbors:
             self._sleep(sim, s)
-        for pid in neighbors:
-            self._sleep(sim, sim.members[pid])
         sim._disconnect_all(idb)
-        assert sim._slept[a] == sim._slept[b] == -4
-        assert all(sim._slept[sim.members[pid]] == -4 for pid in neighbors)
+        assert sim._slept[b] == -4
+        assert all(sim._slept[s] == -4 for s in neighbors)
 
     @pytest.mark.parametrize("capacity", [1.0 / 3.0, 3.0])
     @pytest.mark.parametrize("backend", BACKENDS)

@@ -18,8 +18,9 @@ import pytest
 
 from repro.errors import BackendFallbackError, ConfigurationError
 from repro.names import EXTENDED_ALGORITHMS, Algorithm
-from repro.sim import (FaultConfig, SimulationConfig, VectorSimulation,
-                       targeted_attack_for, vector_unsupported_reason)
+from repro.sim import (AttackConfig, FaultConfig, SimulationConfig,
+                       VectorSimulation, targeted_attack_for,
+                       vector_unsupported_reason)
 from repro.sim.metrics import metrics_digest
 from repro.sim.runner import run_simulation
 
@@ -270,6 +271,20 @@ class TestFeatureAxisParity:
         that far."""
         _parity(replace(large_view_config(Algorithm.TCHAIN, faults),
                         neighbor_count=100))
+
+    @pytest.mark.parametrize("algorithm", EXTENDED_ALGORITHMS,
+                             ids=[a.value for a in EXTENDED_ALGORITHMS])
+    def test_whitewash_during_arrivals(self, algorithm):
+        """Whitewashing every other round while the flash crowd is
+        still arriving: a new identity joins the membership order
+        before users with smaller ids that are still to arrive, so a
+        view drawn over an id-ordered candidate list, instead of one
+        in membership order, diverges from the object engine."""
+        _parity(SimulationConfig(
+            algorithm=algorithm, n_users=60, n_pieces=16, max_rounds=200,
+            freerider_fraction=0.2,
+            attack=AttackConfig(whitewash_interval=2),
+            neighbor_count=10, flash_crowd_duration=30.0, seed=3))
 
     def test_crashes_under_whitewashing_and_delay(self):
         """Delayed reports must survive identity resets: the lineage
