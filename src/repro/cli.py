@@ -68,7 +68,7 @@ from typing import List, Optional
 
 from repro.errors import (ConfigurationError, InvariantViolationError,
                           SimulationError, SimulationStalled)
-from repro.experiments import figures, report, scenarios, tables
+from repro.experiments import figures, report, scenarios
 from repro.experiments.cache import CacheCorruptionError
 from repro.experiments.export import result_to_json, summary_dict
 from repro.experiments.replicates import run_resilient_sweep
@@ -76,8 +76,7 @@ from repro.names import EXTENDED_ALGORITHMS, Algorithm
 from repro.obs import (SeriesStore, sweep_series_to_chrome_trace,
                        to_chrome_trace, to_jsonl)
 from repro.sim import (FaultConfig, Simulation, SimulationConfig,
-                       VectorSimulation, targeted_attack_for,
-                       vector_unsupported_reason)
+                       run_simulation, targeted_attack_for)
 
 __all__ = ["main", "build_parser"]
 
@@ -131,14 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "struct-of-arrays fast path with byte-identical "
                           "metrics, 'vector-fast' its batched-sampling "
                           "fast-v1 lineage (distributionally equivalent, "
-                          "not draw-exact); instrumented configs fall back "
-                          "to 'object' per --backend-fallback")
-    run.add_argument("--backend-fallback", choices=["warn", "error", "silent"],
-                     default="warn",
-                     help="when the chosen backend cannot run this config: "
-                          "'warn' falls back to the object engine with a "
-                          "notice, 'silent' falls back quietly, 'error' "
-                          "refuses to run (exit 2)")
+                          "not draw-exact); --guards and the observability "
+                          "flags need 'object'")
     hybrid = run.add_argument_group(
         "population-scale hybrid (repro.sim.hybrid, docs/SCALING.md)")
     hybrid.add_argument("--population", type=int, default=None,
@@ -185,16 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "'vector' is digest-identical to 'object', "
                             "'vector-fast' trades draw-parity for speed "
                             "(fast-v1 lineage, separate journal/cache "
-                            "identity); both fall back per-replicate when "
-                            "a config needs the object engine, per "
-                            "--backend-fallback")
-    sweep.add_argument("--backend-fallback",
-                       choices=["warn", "error", "silent"],
-                       default="warn",
-                       help="when the chosen backend cannot run this "
-                            "config: 'warn' falls back to the object "
-                            "engine with a notice, 'silent' falls back "
-                            "quietly, 'error' refuses to run (exit 2)")
+                            "identity); --guards and the observability "
+                            "flags need 'object'")
     sweep.add_argument("--journal", metavar="PATH",
                        help="checkpoint journal (JSON lines); rerunning "
                             "with the same path resumes the sweep")
@@ -417,6 +402,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         attack=targeted_attack_for(algorithm, large_view=args.large_view),
         arrival_process=args.arrivals,
         max_rounds=args.max_rounds,
+        backend=args.backend,
     )
     faults = _fault_config(args)
     if faults.enabled:
@@ -433,40 +419,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config = config.with_population(
             args.population, n_subswarms=args.subswarms,
             coupling_interval=args.coupling_interval)
-    downgrade_reason: Optional[str] = None
-    if args.backend != "object":
-        config = config.with_backend(args.backend)
-        config = config.with_backend_fallback(args.backend_fallback)
-        reason = vector_unsupported_reason(config)
-        if reason is not None:
-            if args.backend_fallback == "error":
-                print(f"run: the '{args.backend}' backend does not support "
-                      f"{reason} and --backend-fallback error forbids the "
-                      "object-engine fallback", file=sys.stderr)
-                return 2
-            if args.backend_fallback == "warn":
-                print(f"run: note: this run fell back from the "
-                      f"'{args.backend}' backend to the object engine "
-                      f"({reason}); results are exact but without the "
-                      "vector speedup", file=sys.stderr)
-            downgrade_reason = reason
-            config = config.with_backend("object")
     sim: Optional[Simulation] = None
     try:
         if config.population is not None:
             from repro.sim.hybrid import run_hybrid_simulation
             result = run_hybrid_simulation(config, jobs=args.jobs)
-        elif config.backend == "vector-fast":
-            from repro.sim.vector import VectorFastSimulation
-            result = VectorFastSimulation(config).run()
-        elif config.backend == "vector":
-            result = VectorSimulation(config).run()
-        else:
-            # Hold the Simulation instance (rather than run_simulation) so
-            # the observability runtime is still reachable for export
-            # afterwards.
+        elif config.obs.enabled:
+            # Hold the Simulation instance so the observability runtime
+            # is still reachable for export afterwards.
             sim = Simulation(config)
             result = sim.run()
+        else:
+            result = run_simulation(config)
     except InvariantViolationError as exc:
         print(f"run: invariant violation: {exc}", file=sys.stderr)
         if exc.bundle_path:
@@ -484,11 +448,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # population-conservation ledger refused to balance.
         print(f"run: {exc}", file=sys.stderr)
         return 3
-    if downgrade_reason is not None:
-        # The run executed on the object engine after the pre-check
-        # swap; stamp the reason so exported JSON records the downgrade
-        # exactly like an in-worker fallback would.
-        result.metrics.backend_downgraded = downgrade_reason
     if args.json:
         payload = result_to_json(result)
         if args.json == "-":
@@ -540,7 +499,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         attack=targeted_attack_for(algorithm),
     )
     config = config.with_backend(args.backend)
-    config = config.with_backend_fallback(args.backend_fallback)
     faults = _fault_config(args)
     if faults.enabled:
         config = config.with_faults(faults)
@@ -555,15 +513,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         config = config.with_population(
             args.population, n_subswarms=args.subswarms,
             coupling_interval=args.coupling_interval)
-    if args.backend != "object" and args.backend_fallback == "error":
-        # The config is uniform across replicates, so every one would
-        # raise in its worker; refuse up front with a clear message.
-        reason = vector_unsupported_reason(config)
-        if reason is not None:
-            print(f"sweep: the '{args.backend}' backend does not support "
-                  f"{reason} and --backend-fallback error forbids the "
-                  "object-engine fallback", file=sys.stderr)
-            return 2
     for problem, bad in (
             ("--replicates must be >= 1", args.replicates < 1),
             ("--jobs must be >= 1", args.jobs is not None and args.jobs < 1),
@@ -606,8 +555,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         status = outcome.status
         if outcome.degraded:
             status += " (degraded: stall watchdog fired)"
-        if (outcome.telemetry or {}).get("backend_downgraded"):
-            status += " [backend downgraded]"
         if outcome.attempts > 1:
             status += f" after {outcome.attempts} attempts"
         timing = ""
@@ -653,11 +600,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for summary in result.metrics.values():
         print(f"{summary.name:28s} {summary.mean:12.4f} "
               f"{summary.std:10.4f} {summary.n:3d} {summary.n_missing:4d}")
-    if result.n_backend_downgraded and args.backend_fallback != "silent":
-        print(f"sweep: note: {result.n_backend_downgraded} replicate(s) "
-              f"fell back from the '{args.backend}' backend to the object "
-              "engine (unsupported config axis); results are exact but "
-              "without the vector speedup", file=sys.stderr)
     if result.n_failed:
         return 1
     if result.n_degraded:

@@ -13,7 +13,6 @@ __all__ = [
     "ReproError",
     "ModelParameterError",
     "ConfigurationError",
-    "BackendFallbackError",
     "SimulationError",
     "ProtocolViolationError",
     "InvariantViolationError",
@@ -37,17 +36,6 @@ class ModelParameterError(ReproError, ValueError):
 
 class ConfigurationError(ReproError, ValueError):
     """A simulation or experiment configuration is inconsistent."""
-
-
-class BackendFallbackError(ConfigurationError):
-    """A vector-backend run would fall back to the object engine.
-
-    Raised by :func:`repro.sim.runner.run_simulation` when the
-    requested backend does not support the configuration *and* the
-    config's ``backend_fallback`` policy is ``"error"``: the caller
-    asked for vector speed, would not get it, and chose to be told
-    loudly instead of silently paying the slow path.
-    """
 
 
 class SimulationError(ReproError, RuntimeError):

@@ -55,7 +55,6 @@ def summary_dict(result: SimulationResult) -> Dict[str, Any]:
         "total_uploaded": metrics.total_uploaded,
         "peer_uploaded": metrics.peer_uploaded,
         "digest_lineage": metrics.digest_lineage,
-        "backend_downgraded": metrics.backend_downgraded,
     }
 
 

@@ -112,17 +112,14 @@ class FigureResult:
 def engine_line(results: Iterable[SimulationResult]) -> str:
     """Name the engine that produced ``results`` in one line.
 
-    E.g. ``engine: vector (parity-v1), 6 runs, 0 downgraded``: the
-    configured backend and digest lineage of the runs (comma-joined if
-    they differ), how many runs there were, and how many of them fell
-    back to the object engine.
+    E.g. ``engine: vector (parity-v1), 6 runs``: the configured
+    backend and digest lineage of the runs (comma-joined if they
+    differ) and how many runs there were.
     """
     results = list(results)
     engines = sorted({f"{r.config.backend} ({r.metrics.digest_lineage})"
                       for r in results})
-    downgraded = sum(1 for r in results if r.metrics.backend_downgraded)
-    return (f"engine: {', '.join(engines)}, {len(results)} runs, "
-            f"{downgraded} downgraded")
+    return f"engine: {', '.join(engines)}, {len(results)} runs"
 
 
 def _series_for(result: SimulationResult) -> AlgorithmSeries:

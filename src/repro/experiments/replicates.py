@@ -253,17 +253,6 @@ class SweepResult:
         """Replicates the watchdog finalized early (partial metrics)."""
         return sum(1 for o in self.outcomes if o.degraded)
 
-    @property
-    def n_backend_downgraded(self) -> int:
-        """Replicates whose run fell back from the requested vector
-        backend to the object engine (unsupported config axis). The
-        results are still exact — the fallback is telemetry, not part
-        of the determinism digest — but a sweep that silently ran 30
-        object-engine replicates is not the performance the caller
-        asked for, so the CLI surfaces this count."""
-        return sum(1 for o in self.outcomes
-                   if (o.telemetry or {}).get("backend_downgraded"))
-
     def to_rows(self) -> List[Dict[str, float]]:
         return [{
             "metric": s.name,
@@ -653,13 +642,6 @@ def _outcome_from_result(result: TaskResult, fingerprint: str,
         obs_payload = getattr(result.value, "obs", None)
         if obs_payload is not None:
             telemetry["obs"] = obs_payload
-        # A vector(-fast) request that fell back to the object engine
-        # is exact but slow; carry the reason so sweeps can report how
-        # many replicates actually ran on the requested backend (and
-        # why they did not).
-        downgraded = getattr(result.value, "backend_downgraded", None)
-        if downgraded:
-            telemetry["backend_downgraded"] = downgraded
         values = {name: extract(result.value)
                   for name, extract in extractors.items()}
         return ReplicateOutcome(

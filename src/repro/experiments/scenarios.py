@@ -20,11 +20,11 @@ produces the same ``metrics_digest`` (the parity-v1 lineage), so
 Figures 4-6 and the report come out byte-identical, only faster.
 ``SimulationConfig`` itself still defaults to ``"object"``.
 
-The array engines do not yet run guards, the obs runtime or
-``record_transfers``. A preset that turns one of those on must also set
-``backend="object"``; otherwise the run falls back to the object engine
-(with a ``RuntimeWarning`` under the default fallback policy) and
-records the downgrade in ``metrics.backend_downgraded``.
+The array engines do not run guards, the obs runtime or
+``record_transfers``, so ``SimulationConfig`` refuses any of them with
+a ``ConfigurationError`` unless ``backend="object"``. To instrument a
+preset, switch its engine first:
+``default_scale(algo).with_backend("object").with_guards("cheap")``.
 """
 
 from __future__ import annotations

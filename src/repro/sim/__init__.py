@@ -42,7 +42,6 @@ from repro.sim.runner import Simulation, SimulationResult, run_simulation  # noq
 from repro.sim.vector import (  # noqa: F401
     VectorFastSimulation,
     VectorSimulation,
-    vector_unsupported_reason,
 )
 
 __all__ = [
@@ -73,5 +72,4 @@ __all__ = [
     "run_simulation",
     "shard_plan",
     "targeted_attack_for",
-    "vector_unsupported_reason",
 ]

@@ -227,19 +227,11 @@ class SimulationConfig:
     #: fingerprints, result-cache keys and journals are backend-neutral
     #: for the byte-parity engines, and :func:`digest_lineage` is what
     #: keys the fast lineage apart (see
-    #: ``repro.experiments.replicates._config_fingerprint``).
+    #: ``repro.experiments.replicates._config_fingerprint``). Guards,
+    #: the obs runtime and ``record_transfers`` hook the object
+    #: engine's internals, so a config that turns one of them on must
+    #: use ``"object"``; any other backend is refused at construction.
     backend: str = field(repr=False, default="object")
-    #: What to do when the chosen backend cannot run this config (see
-    #: :func:`repro.sim.vector.vector_unsupported_reason`): ``"warn"``
-    #: falls back to the object engine with a ``RuntimeWarning``,
-    #: ``"silent"`` falls back quietly, ``"error"`` raises
-    #: :class:`repro.errors.BackendFallbackError`. Fallback runs are
-    #: draw-exact either way (the object engine is the oracle) and are
-    #: flagged in ``SimulationMetrics.backend_downgraded``; the policy
-    #: only controls how loudly the lost speedup is reported, so it is
-    #: excluded from ``repr`` (fingerprints/cache keys) like
-    #: ``backend`` itself.
-    backend_fallback: str = field(repr=False, default="warn")
     #: Fluid/event-driven hybrid mode (:mod:`repro.sim.hybrid`,
     #: docs/SCALING.md). ``None`` (default) runs the configured swarm
     #: directly. A positive integer requests a *population* of that
@@ -309,9 +301,15 @@ class SimulationConfig:
         if self.backend not in ("object", "vector", "vector-fast"):
             raise ConfigurationError(
                 "backend must be 'object', 'vector', or 'vector-fast'")
-        if self.backend_fallback not in ("warn", "error", "silent"):
-            raise ConfigurationError(
-                "backend_fallback must be 'warn', 'error', or 'silent'")
+        if self.backend != "object":
+            for name, on in (("guards", self.guards.enabled),
+                             ("obs", self.obs.enabled),
+                             ("record_transfers", self.record_transfers)):
+                if on:
+                    raise ConfigurationError(
+                        f"{name} is on, and only the object engine "
+                        f"implements it; use backend='object' (not "
+                        f"'{self.backend}')")
         if self.n_subswarms < 1:
             raise ConfigurationError("n_subswarms must be >= 1")
         if self.coupling_interval < 1:
@@ -405,10 +403,6 @@ class SimulationConfig:
     def with_backend(self, backend: str) -> "SimulationConfig":
         """Variant executed by the given round-loop backend."""
         return replace(self, backend=backend)
-
-    def with_backend_fallback(self, policy: str) -> "SimulationConfig":
-        """Variant with the given backend-downgrade policy."""
-        return replace(self, backend_fallback=policy)
 
     def with_population(self, population: Optional[int],
                         n_subswarms: Optional[int] = None,

@@ -553,8 +553,8 @@ def hybrid_digest(metrics: HybridMetrics) -> str:
 
     Covers the shard plan, every subswarm's own ``metrics_digest``,
     and the full coupling ledger; like :func:`metrics_digest` it
-    excludes provenance (obs payloads, downgrade notices). Identical
-    across ``--jobs`` counts by construction.
+    excludes provenance (obs payloads). Identical across ``--jobs``
+    counts by construction.
     """
     h = hashlib.sha256()
     h.update(f"hybrid-v1|P={metrics.population}|K={metrics.n_subswarms}"
@@ -598,9 +598,6 @@ def _aggregate(config: SimulationConfig, plan: ShardPlan,
         credit_deciles=deciles,
         fluid_residual=max((r.residual for r in rows), default=0.0),
     )
-    for shard in shards:
-        if shard.backend_downgraded and metrics.backend_downgraded is None:
-            metrics.backend_downgraded = shard.backend_downgraded
     from repro.obs.samplers import hybrid_coupling_store
 
     metrics.obs = {"series": hybrid_coupling_store(rows).to_compact()}

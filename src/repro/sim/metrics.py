@@ -192,12 +192,6 @@ class SimulationMetrics:
     #: means anything within one lineage), but journaled and cached so
     #: fast-lineage results can never masquerade as parity results.
     digest_lineage: str = "parity-v1"
-    #: Set by :func:`repro.sim.runner.run_simulation` when a vector
-    #: backend request silently fell back to the object engine for an
-    #: unsupported config — holds the human-readable reason. Execution
-    #: provenance like ``obs``: digest-excluded, surfaced through sweep
-    #: telemetry so the downgrade is visible outside worker processes.
-    backend_downgraded: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Efficiency

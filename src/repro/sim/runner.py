@@ -17,14 +17,12 @@ consistent.
 from __future__ import annotations
 
 import random
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from repro.errors import (BackendFallbackError, InvariantViolationError,
-                          SimulationStalled)
+from repro.errors import InvariantViolationError, SimulationStalled
 from repro.names import Algorithm
 from repro.obs.runtime import ObsRuntime
 from repro.sim.arrivals import flash_crowd_arrivals, poisson_arrivals
@@ -974,16 +972,9 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     ``"vector-fast"`` selects its batched-sampling subclass
     (:class:`repro.sim.vector.VectorFastSimulation`), which is only
     *distributionally* equivalent and stamps
-    ``metrics.digest_lineage = "fast-v1"``. Configs neither vector
-    engine supports (guards, the obs runtime, per-transfer recording)
-    are handled per ``config.backend_fallback``: ``"warn"`` (default)
-    falls back to the object engine with a :class:`RuntimeWarning`
-    naming the unsupported feature, ``"silent"`` falls back without
-    the warning, and ``"error"`` raises
-    :class:`repro.errors.BackendFallbackError` instead of running.
-    Either fallback records the reason on
-    ``metrics.backend_downgraded`` so sweeps can surface downgrades
-    that happen inside worker processes.
+    ``metrics.digest_lineage = "fast-v1"``. Guards, the obs runtime
+    and per-transfer recording run only here, on the object engine;
+    :class:`SimulationConfig` refuses them with any other backend.
 
     Configs with ``population`` set dispatch to the fluid/event-driven
     hybrid engine (:func:`repro.sim.hybrid.run_hybrid_simulation`,
@@ -996,25 +987,9 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
 
         return run_hybrid_simulation(config)
     if config.backend in ("vector", "vector-fast"):
-        from repro.sim.vector import (VectorFastSimulation, VectorSimulation,
-                                      vector_unsupported_reason)
+        from repro.sim.vector import VectorFastSimulation, VectorSimulation
 
-        reason = vector_unsupported_reason(config)
-        if reason is None:
-            engine = (VectorFastSimulation if config.backend == "vector-fast"
-                      else VectorSimulation)
-            return engine(config).run()
-        if config.backend_fallback == "error":
-            raise BackendFallbackError(
-                f"the '{config.backend}' backend does not support {reason} "
-                "and backend_fallback='error' forbids the object-engine "
-                "fallback; use backend='object' or relax the policy")
-        if config.backend_fallback == "warn":
-            warnings.warn(
-                f"vector backend does not support {reason}; "
-                "falling back to the object engine",
-                RuntimeWarning, stacklevel=2)
-        result = Simulation(config).run()
-        result.metrics.backend_downgraded = reason
-        return result
+        engine = (VectorFastSimulation if config.backend == "vector-fast"
+                  else VectorSimulation)
+        return engine(config).run()
     return Simulation(config).run()

@@ -59,17 +59,6 @@ and counted) at the top of the next due round; and obligation expiry
 scans the pending-piece dicts behind a per-slot oldest-round
 short-circuit. Sweeps with ``degradation_rows`` over any fault axis
 therefore run vectorized.
-
-Unsupported features
---------------------
-Observation layers that hook the object engine's internals are not
-reimplemented here: runtime guards, the observability runtime and
-per-transfer recording all require the object backend.
-:func:`vector_unsupported_reason` reports why a config cannot run
-vectorized; :func:`repro.sim.runner.run_simulation` applies the
-config's ``backend_fallback`` policy ("warn" falls back to the object
-engine with a ``RuntimeWarning``, "silent" falls back quietly,
-"error" raises) in that case.
 """
 
 from __future__ import annotations
@@ -84,7 +73,6 @@ from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.names import Algorithm
 from repro.sim.arrivals import flash_crowd_arrivals, poisson_arrivals
 from repro.sim.bandwidth import UploadBudget
@@ -94,8 +82,7 @@ from repro.sim.metrics import MetricsCollector, PeerSummary
 from repro.sim.pieces import AvailabilityMap, bits_to_list, iter_bits
 from repro.sim.rng import RandomStreams
 
-__all__ = ["VectorSimulation", "VectorFastSimulation",
-           "vector_unsupported_reason"]
+__all__ = ["VectorSimulation", "VectorFastSimulation"]
 
 #: Sentinel for "no pending obligation" in the oldest-round columns;
 #: must compare greater than every reachable blacklist horizon.
@@ -127,23 +114,6 @@ def _shuffle(x: list, getrandbits) -> None:
         x[i], x[j] = x[j], x[i]
 
 
-def vector_unsupported_reason(config: SimulationConfig) -> Optional[str]:
-    """Why ``config`` cannot run on the vector backend (None = it can).
-
-    The vector engine covers every algorithm (including propshare),
-    both arrival processes, all attack flags, churn/lingering, both
-    topologies, both piece policies, and all five fault axes. What it
-    does not implement are the object engine's instrumentation hooks.
-    """
-    if config.guards.enabled:
-        return "runtime invariant guards (config.guards)"
-    if config.obs.enabled:
-        return "the observability runtime (config.obs)"
-    if config.record_transfers:
-        return "per-transfer recording (config.record_transfers)"
-    return None
-
-
 class _Turn:
     """Per-uploader-turn cache of the needy-neighbor pool.
 
@@ -171,11 +141,6 @@ class VectorSimulation:
     digest_lineage = "parity-v1"
 
     def __init__(self, config: SimulationConfig) -> None:
-        reason = vector_unsupported_reason(config)
-        if reason is not None:
-            raise ConfigurationError(
-                f"the vector backend does not support {reason}; "
-                "use backend='object'")
         from repro.algorithms.vector_kernels import (
             DEFICIT_ALGORITHMS, RECEIVED_ALGORITHMS, RECEIPT_ALGORITHMS)
 

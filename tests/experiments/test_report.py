@@ -26,4 +26,4 @@ class TestFullReport:
         text = full_report(smoke_scale(seed=4), include_figures=True)
         for name in ("Figure 4", "Figure 5", "Figure 6"):
             assert name in text
-        assert "engine: vector (parity-v1), 18 runs, 0 downgraded" in text
+        assert "engine: vector (parity-v1), 18 runs\n" in text

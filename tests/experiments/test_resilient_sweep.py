@@ -426,18 +426,6 @@ class TestOutcome:
         assert resumed.outcomes[0].digest_lineage == "parity-v1"
         assert sweep.outcomes[0].digest_lineage == "parity-v1"
 
-    def test_n_backend_downgraded_counts_telemetry_flags(self):
-        plain = ReplicateOutcome(1, 1, 1, "ok", None, {"v": 1.0})
-        flagged = ReplicateOutcome(2, 2, 1, "ok", None, {"v": 1.0},
-                                   telemetry={"backend_downgraded": True})
-        sweep = run_resilient_sweep(_config(), (1, 2), VALUE,
-                                    task=task_identity)
-        assert sweep.n_backend_downgraded == 0
-        forged = type(sweep)(config=sweep.config, seeds=sweep.seeds,
-                             outcomes=(plain, flagged),
-                             metrics=sweep.metrics, resumed=0)
-        assert forged.n_backend_downgraded == 1
-
 
 class TestDegradedRuns:
     """Watchdog-degraded replicates flow through the sweep machinery."""

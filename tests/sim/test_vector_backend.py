@@ -1,10 +1,11 @@
-"""Backend selection, fallback, and vector/object digest parity.
+"""Backend selection, the instrumentation refusal, and vector/object
+digest parity.
 
 The pinned-digest and fuzz parity checks live in
 ``tests/integration``; this file covers the plumbing around the
 vector backend — config validation and serialisation, the
-``run_simulation`` dispatch with its object-engine fallback, and
-parity on the specific feature axes (arrival process, topology,
+``run_simulation`` dispatch and the refusal of object-only
+instrumentation on the array engines, and parity on the specific feature axes (arrival process, topology,
 piece policy, whitewashing, lingering seeds, swarm-wide views) that
 the equivalence config does not vary.
 """
@@ -16,11 +17,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.errors import BackendFallbackError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.names import EXTENDED_ALGORITHMS, Algorithm
-from repro.sim import (AttackConfig, FaultConfig, SimulationConfig,
-                       VectorSimulation, targeted_attack_for,
-                       vector_unsupported_reason)
+from repro.sim import (AttackConfig, FaultConfig, GuardConfig, ObsConfig,
+                       SimulationConfig, VectorSimulation,
+                       targeted_attack_for)
+from repro.sim import runner
 from repro.sim.metrics import metrics_digest
 from repro.sim.runner import run_simulation
 
@@ -30,6 +32,14 @@ ALL_FAULTS = FaultConfig(
     transfer_loss_rate=0.15, crash_hazard=0.005,
     seeder_outage_rate=0.2, seeder_outage_duration=3,
     report_delay_rounds=2, obligation_expiry_rounds=6)
+
+#: The instrumentation only the object engine runs, as config
+#: overrides keyed by the field name a refusal must report.
+INSTRUMENTATION = {
+    "guards": dict(guards=GuardConfig(mode="cheap")),
+    "obs": dict(obs=ObsConfig(trace=True)),
+    "record_transfers": dict(record_transfers=True),
+}
 
 
 def small_config(**overrides) -> SimulationConfig:
@@ -76,28 +86,25 @@ class TestConfigPlumbing:
 
 
 class TestDispatchAndFallback:
+    """``run_simulation`` dispatch, and the config rule that replaced
+    the object-engine fallback: instrumentation on an array backend is
+    refused when the config is built, never run on another engine."""
+
     def test_vector_backend_runs_vector_engine(self):
         config = small_config().with_backend("vector")
-        assert vector_unsupported_reason(config) is None
         result = run_simulation(config)
         assert result.metrics.rounds_run > 0
 
-    @pytest.mark.parametrize("unsupported, fragment", [
-        (dict(record_transfers=True), "per-transfer"),
-    ])
-    def test_unsupported_config_warns_and_falls_back(self, unsupported,
-                                                     fragment):
-        config = replace(small_config(), **unsupported)
-        assert fragment in vector_unsupported_reason(config)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            fallback = run_simulation(config.with_backend("vector"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            reference = run_simulation(config)
-        assert (metrics_digest(fallback.metrics)
-                == metrics_digest(reference.metrics))
-        assert fallback.metrics.backend_downgraded == (
-            vector_unsupported_reason(config))
+    @pytest.mark.parametrize("backend", ["vector", "vector-fast"])
+    @pytest.mark.parametrize("field_name", sorted(INSTRUMENTATION))
+    def test_instrumented_config_refused(self, field_name, backend):
+        instrumentation = INSTRUMENTATION[field_name]
+        with pytest.raises(ConfigurationError, match=field_name) as info:
+            small_config(backend=backend, **instrumentation)
+        assert "backend='object'" in str(info.value)
+        instrumented = small_config(**instrumentation)
+        with pytest.raises(ConfigurationError, match=field_name):
+            instrumented.with_backend(backend)
 
     @pytest.mark.parametrize("faults", [
         FaultConfig(crash_hazard=0.05),
@@ -105,75 +112,40 @@ class TestDispatchAndFallback:
         FaultConfig(obligation_expiry_rounds=5),
     ])
     def test_all_fault_axes_supported_on_vector(self, faults):
-        """PR 9: no fault axis forces the object-engine fallback."""
+        """No fault axis needs the object engine."""
         config = small_config(faults=faults)
-        assert vector_unsupported_reason(config) is None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run_simulation(config.with_backend("vector"))
-        assert result.metrics.backend_downgraded is None
+        assert result.metrics.rounds_run > 0
+
+    @pytest.mark.parametrize("backend", ["vector", "vector-fast"])
+    def test_array_backends_never_build_the_object_engine(self, backend,
+                                                          monkeypatch):
+        def refuse(self, config):
+            raise AssertionError("object engine built for backend="
+                                 f"{config.backend!r}")
+
+        monkeypatch.setattr(runner.Simulation, "__init__", refuse)
+        config = small_config(faults=ALL_FAULTS, backend=backend)
+        result = run_simulation(config)
+        assert result.metrics.rounds_run > 0
+        assert result.metrics.digest_lineage == config.digest_lineage
 
     def test_guarded_config_reports_reason(self):
-        config = small_config().with_guards("cheap")
-        assert "guards" in vector_unsupported_reason(config)
+        for backend in ("vector", "vector-fast"):
+            with pytest.raises(ConfigurationError, match="guards"):
+                small_config(backend=backend).with_guards("cheap")
 
     def test_obs_config_reports_reason(self):
-        config = small_config().with_obs(trace=True)
-        assert "observability" in vector_unsupported_reason(config)
+        for backend in ("vector", "vector-fast"):
+            with pytest.raises(ConfigurationError, match="obs"):
+                small_config(backend=backend).with_obs(trace=True)
 
     def test_object_backend_never_warns(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run_simulation(small_config())
-
-
-class TestBackendFallbackPolicy:
-    """The explicit backend_fallback policy on unsupported configs."""
-
-    def _unsupported(self, **extra):
-        return small_config(record_transfers=True, **extra).with_backend(
-            "vector")
-
-    def test_default_policy_is_warn(self):
-        assert small_config().backend_fallback == "warn"
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            small_config(backend_fallback="loud")
-
-    def test_repr_excludes_policy(self):
-        config = small_config()
-        assert repr(config) == repr(config.with_backend_fallback("silent"))
-
-    def test_error_policy_raises(self):
-        config = self._unsupported().with_backend_fallback("error")
-        with pytest.raises(BackendFallbackError, match="per-transfer"):
-            run_simulation(config)
-
-    def test_silent_policy_falls_back_quietly(self):
-        config = self._unsupported().with_backend_fallback("silent")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = run_simulation(config)
-        assert result.metrics.backend_downgraded is not None
-
-    def test_warn_policy_warns_and_records_reason(self):
-        config = self._unsupported().with_backend_fallback("warn")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            result = run_simulation(config)
-        assert "per-transfer" in result.metrics.backend_downgraded
-
-    def test_error_policy_is_inert_on_supported_configs(self):
-        config = small_config(
-            faults=FaultConfig(crash_hazard=0.02)).with_backend(
-            "vector").with_backend_fallback("error")
-        result = run_simulation(config)
-        assert result.metrics.backend_downgraded is None
-
-    def test_to_dict_roundtrip_preserves_policy(self):
-        config = small_config().with_backend_fallback("error")
-        rebuilt = SimulationConfig.from_dict(config.to_dict())
-        assert rebuilt.backend_fallback == "error"
 
 
 def large_view_config(algorithm: Algorithm,

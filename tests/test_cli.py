@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.experiments.executor import resolve_start_method
 
@@ -198,12 +199,37 @@ class TestCommands:
         assert err.startswith(message)
         assert len(err.strip().splitlines()) == 1
 
+    def test_run_refuses_instrumented_array_backend(self, capsys):
+        code = main(["run", "--algorithm", "tchain", "--backend", "vector",
+                     "--guards", "cheap"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run: guards is on")
+        assert "backend='object'" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_sweep_refuses_instrumented_array_backend(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep started for a refused config")
+
+        monkeypatch.setattr(cli, "run_resilient_sweep", no_sweep)
+        journal = tmp_path / "sweep.jsonl"
+        code = main(["sweep", "--algorithm", "tchain", "--scale", "smoke",
+                     "--replicates", "2", "--backend", "vector-fast",
+                     "--trace", "--journal", str(journal)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sweep: obs is on")
+        assert len(err.strip().splitlines()) == 1
+        assert not journal.exists()
+
     def test_figure4_smoke(self, capsys):
         code = main(["figure4", "--scale", "smoke", "--seed", "2"])
         assert code == 0
         out = capsys.readouterr().out
         assert "Figure 4" in out
-        assert "engine: vector (parity-v1), 6 runs, 0 downgraded" in out
+        assert "engine: vector (parity-v1), 6 runs\n" in out
 
     def test_report_tables_only(self, capsys):
         code = main(["report", "--no-figures"])
@@ -408,15 +434,16 @@ class TestHybridCli:
         assert code == 2
         assert "shard weights" in capsys.readouterr().err
 
-    def test_run_hybrid_downgrade_notice_parity(self, capsys):
-        # A hybrid template that the vector engines cannot run falls
-        # back with the same pre-run notice a plain run gets.
+    def test_run_hybrid_refuses_instrumented_array_backend(self, capsys):
+        # A hybrid template is refused on an array engine exactly like
+        # a plain run: one stderr line naming the field, exit 2.
         code = main(["run", "--algorithm", "tchain"] + self.HYBRID_ARGS
                     + ["--guards", "cheap"])
-        assert code == 0
+        assert code == 2
         captured = capsys.readouterr()
-        assert "fell back" in captured.err
-        assert "hybrid-v1" in captured.out
+        assert captured.err.startswith("run: guards is on")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
 
     def test_sweep_hybrid_smoke(self, capsys):
         code = main(["sweep", "--algorithm", "tchain", "--scale", "smoke",
