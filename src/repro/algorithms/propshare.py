@@ -14,7 +14,7 @@ feasibility matches BitTorrent's: the reciprocal share still needs
 mutual interest, the optimistic share only one-sided interest). It is
 not one of the six analysed mechanisms, so this repository ships it as
 an extension for ablation studies — see
-``benchmarks/bench_extensions.py``.
+``tests/paper/test_extensions.py``.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ analytical model predicts:
   near-zero susceptibility.
 
 Every sweep returns a list of plain-dict rows (one per parameter
-value) so benches and notebooks can consume them directly.
+value) so tests and notebooks can consume them directly.
 """
 
 from __future__ import annotations

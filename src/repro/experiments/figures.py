@@ -3,7 +3,7 @@
 Each ``figureN`` function runs the corresponding simulation sweep and
 returns a :class:`FigureResult` holding, per algorithm, the series the
 paper plots plus scalar summaries; ``to_text`` renders the summary
-table printed by the benchmark harness.
+table printed by ``python -m repro figure4/5/6``.
 
 * Figure 4 — all users compliant: (a) completion-time distribution,
   (b) fairness over time, (c) bootstrapped users over time.

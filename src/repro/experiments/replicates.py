@@ -3,7 +3,7 @@ crash-safe sweep runner.
 
 A single seed is an anecdote. This module runs a configuration across
 several seeds and aggregates the headline metrics — what a careful
-reproduction (and the seed-averaged benchmark assertions) should quote.
+reproduction (and the seed-averaged paper-claim tests) should quote.
 
 Two runners are provided:
 

@@ -7,7 +7,7 @@ two scaled-down variants that preserve the swarm dynamics (the same
 flash-crowd/seeder/capacity shape) while running in seconds:
 
 * :func:`default_scale` — 200 users, 64 pieces; the workhorse used by
-  the benchmark harness (each run takes well under a second).
+  the paper-claim tests (each run takes well under a second).
 * :func:`smoke_scale` — 60 users, 24 pieces; used by integration
   tests.
 

@@ -1,8 +1,8 @@
 """Regenerate the paper's analytical tables (Tables I-III, Figs. 2-3).
 
 Each function returns structured rows *and* can render the same table
-as text via :func:`repro.utils.format_table`, so the benchmark harness
-prints exactly what the paper reports.
+as text via :func:`repro.utils.format_table`, so ``python -m repro
+tables`` prints exactly what the paper reports.
 """
 
 from __future__ import annotations

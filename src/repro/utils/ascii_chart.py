@@ -2,7 +2,7 @@
 
 The paper's Figures 4-6 are time-series plots; with no plotting stack
 available we render them as monospace charts so ``python -m repro
-figure4 --plot`` (and the benches under ``-s``) can show the *curves*,
+figure4 --plot`` can show the *curves*,
 not just the summary scalars. One chart overlays several labelled
 series; points are bucketed onto a fixed character grid, latest writer
 wins within a cell, and a legend maps glyphs to series.

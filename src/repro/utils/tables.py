@@ -1,6 +1,6 @@
 """Plain-text table rendering for experiment reports.
 
-The benchmark harness prints the same rows the paper's tables report;
+The report commands print the same rows the paper's tables report;
 this module does the column alignment so every experiment renders
 consistently without pulling in a formatting dependency.
 """

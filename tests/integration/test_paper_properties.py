@@ -2,8 +2,9 @@
 
 These are the Section V findings that DESIGN.md commits to reproduce
 in *shape*. Each test runs the relevant sweep at a reduced scale
-(120 users, 32 pieces) with a fixed seed; the benchmark harness
-re-checks the same claims at the default 200-user scale.
+(120 users, 32 pieces) with a fixed seed; ``tests/paper/`` re-checks
+the same claims at the default 200-user scale, averaged over three
+seeds.
 """
 
 from __future__ import annotations
@@ -148,8 +149,8 @@ class TestFigure6LargeView:
         """Fig. 6a: the large-view exploit ~doubles what BitTorrent and
         the reputation system leak. At this reduced scale (views cover
         a quarter of the swarm already) the amplification is partial,
-        so the test asserts a clear increase; the 200-user benchmark
-        checks the ~2x factor."""
+        so the test asserts a clear increase; the 200-user check in
+        ``tests/paper/test_fig6.py`` asserts 1.4x for BitTorrent."""
         for algorithm in (Algorithm.BITTORRENT, Algorithm.REPUTATION):
             base = freeriding_runs[algorithm].metrics.susceptibility()
             boosted = largeview_runs[algorithm].metrics.susceptibility()

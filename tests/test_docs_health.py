@@ -122,9 +122,32 @@ class TestNegativeCases:
         # One missing script; real files under the root, src/repro/ and
         # the document's directory, and an absolute path, all pass.
         markdown = ("Run `benchmarks/no_such_bench.py`, see "
-                    "`benchmarks/bench_fig3.py`, `sim/engine.py`, "
+                    "`tests/paper/test_fig3.py`, `sim/engine.py`, "
                     "`../README.md` and `/tmp/out/run.json`.")
         problems = check_docs.check_paths(REPO_ROOT / "docs" / "SIMULATOR.md",
                                           markdown)
         assert problems == ["docs/SIMULATOR.md: names missing file "
                             "benchmarks/no_such_bench.py"]
+
+    def test_stale_test_reference_detected(self):
+        # DESIGN.md's E2 row once cited this test, which never existed;
+        # the check is test_figure2_rankings in the same file.
+        markdown = ("`tests/paper/test_table1.py::test_corollary1_rankings` "
+                    "and `tests/paper/test_table1.py::test_figure2_rankings`")
+        problems = check_docs.check_paths(REPO_ROOT / "DESIGN.md", markdown)
+        assert problems == ["DESIGN.md: tests/paper/test_table1.py::"
+                            "test_corollary1_rankings names nothing "
+                            "tests/paper/test_table1.py defines"]
+
+    def test_class_member_references_resolve(self):
+        # A method of a real class passes; a missing method, and a
+        # bare file name that resolves nowhere, do not.
+        own = "tests/test_docs_health.py::TestNegativeCases"
+        markdown = (f"`{own}::test_broken_anchor_detected`, "
+                    f"`{own}::test_no_such_case` and "
+                    "`test_table1.py::test_figure2_rankings`")
+        problems = check_docs.check_paths(REPO_ROOT / "DESIGN.md", markdown)
+        assert problems == [
+            "DESIGN.md: names missing file test_table1.py",
+            f"DESIGN.md: {own}::test_no_such_case names nothing "
+            "tests/test_docs_health.py defines"]

@@ -20,7 +20,11 @@ top-level reference documents + everything in ``docs/``):
   prose or code, must name a file relative to the repo root, ``src/``,
   ``src/repro/`` or the document's own directory, so a deleted script
   or data file cannot linger in the text. Absolute paths (``/tmp/...``)
-  name the reader's machine and are skipped.
+  name the reader's machine and are skipped. A test reference
+  ``file.py::Name`` or ``file.py::Name::name`` (slash or not) must
+  also name a top-level class or function of that file, and a method
+  or nested class of it; the file is read with ``ast``, never
+  imported, so a renamed or deleted test cannot stay cited.
 
 Run directly (``python tools/check_docs.py``) for a report and a
 non-zero exit on problems; ``tests/test_docs_health.py`` wraps the
@@ -30,11 +34,12 @@ same functions so tier-1 CI enforces all four checks.
 from __future__ import annotations
 
 import argparse
+import ast
 import doctest
 import pathlib
 import re
 import sys
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -68,6 +73,10 @@ _FLAG_RE = re.compile(r"(?<![\w-])(--[a-z][\w-]*)")
 #: least one ``/``, a known extension not followed by more name.
 _PATH_RE = re.compile(r"(?<![\w./:~-])([\w.-][\w./-]*/[\w./-]*?"
                       r"\.(?:py|jsonl|json|md|yml|toml))(?![\w/-]|\.\w)")
+#: A pytest-style reference: ``file.py::Name`` or ``file.py::Name::name``.
+_REF_RE = re.compile(r"(?<![\w./:~-])([\w.-][\w./-]*\.py)"
+                     r"::(\w+)(?:::(\w+))?")
+_DEF_NODES = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def doc_files() -> List[pathlib.Path]:
@@ -183,15 +192,40 @@ def check_cli_flags(path: pathlib.Path, markdown: str,
     return problems
 
 
+def definitions(source: pathlib.Path) -> Dict[str, Set[str]]:
+    """Top-level classes and functions of a Python file, each mapped
+    to the classes and functions its body defines."""
+    tree = ast.parse(source.read_text(encoding="utf-8"), str(source))
+    return {node.name: {child.name for child in node.body
+                        if isinstance(child, _DEF_NODES)}
+            for node in tree.body if isinstance(node, _DEF_NODES)}
+
+
 def check_paths(path: pathlib.Path, markdown: str) -> List[str]:
-    """File paths named in one document that exist nowhere we look."""
+    """File paths named in one document that exist nowhere we look,
+    and ``file.py::Name[::name]`` references the file does not define."""
     problems: List[str] = []
     rel = path.relative_to(REPO_ROOT)
     bases = (REPO_ROOT, REPO_ROOT / "src", REPO_ROOT / "src" / "repro",
              path.parent)
-    for target in dict.fromkeys(_PATH_RE.findall(markdown)):
-        if not any((base / target).is_file() for base in bases):
+
+    def resolve(target: str) -> Optional[pathlib.Path]:
+        return next((base / target for base in bases
+                     if (base / target).is_file()), None)
+
+    refs = dict.fromkeys(_REF_RE.findall(markdown))
+    targets = _PATH_RE.findall(markdown) + [file for file, _, _ in refs]
+    for target in dict.fromkeys(targets):
+        if resolve(target) is None:
             problems.append(f"{rel}: names missing file {target}")
+    for file, name, member in refs:
+        source = resolve(file)
+        if source is None:
+            continue
+        defined = definitions(source)
+        if name not in defined or (member and member not in defined[name]):
+            ref = "::".join(part for part in (file, name, member) if part)
+            problems.append(f"{rel}: {ref} names nothing {file} defines")
     return problems
 
 
