@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional
 
 import numpy as np
 
@@ -458,8 +458,10 @@ KERNELS: Dict[Algorithm, Callable] = {
 # draw-for-draw parity contract: uniform picks come from the engine's
 # buffered PCG64 sampler (``sim._fs``), and bookkeeping the object
 # strategies force purely for draw alignment (full shuffles, per-send
-# rescans, recomputed weight vectors) is batched or made lazy. These
-# run only under ``digest_lineage="fast-v1"``; their distributional
+# view rescans, recomputed weight vectors) is batched or made lazy.
+# Each turn's needy pool is exact and holds slots; sends repair it by
+# swap-pop, so a draw from it needs no interest test. These run only
+# under ``digest_lineage="fast-v1"``; their distributional
 # equivalence to the object engine is enforced by
 # ``tests/integration/test_distributional_parity.py``.
 
@@ -487,41 +489,24 @@ def run_spray_fast(sim: "VectorSimulation", s: int,
                    rng: random.Random) -> None:
     """Seeder / Altruism spray, drawing targets from the fast sampler.
 
-    The fast engine's needy pool is a maybe-stale superset of *slots*
-    (see ``VectorFastSimulation._pool_for``): each drawn candidate is
-    validated with one bigint interest test and evicted on staleness.
-    Rejection sampling from a superset is exactly uniform over the
-    true needy pool, so the spray distribution is unchanged.
+    The fast engine's needy pool holds *slots*, and each send repairs
+    it, so every drawn target is needy.
     """
     budget = sim.budgets[s]
     if sim.cnt[s] == 0 or not budget.can_send():
         return
     needy = sim.begin_turn(s).needy
-    out = sim._pout[s]
     ids = sim.ids
-    held = sim.held
-    cnt = sim.cnt
-    npieces = sim.n_pieces
-    uw = sim.usable[s]
     den = budget._den
     rb = sim._fs.randbelow
     send = sim._plain_send
-    while True:
+    while needy:
         n = len(needy)
-        if n == 0:
-            return
         j = rb(n) if n > 1 else 0
-        t = needy[j]
-        if held[t] & uw != uw:
-            if not send(s, ids[t], j):
-                return
-            if budget._credits_num < den:
-                return
-        else:
-            needy[j] = needy[n - 1]
-            needy.pop()
-            if cnt[t] != npieces:
-                out.append(t)
+        if not send(s, ids[needy[j]], j):
+            return
+        if budget._credits_num < den:
+            return
 
 
 def run_fairtorrent_fast(sim: "VectorSimulation", s: int,
@@ -538,19 +523,12 @@ def run_fairtorrent_fast(sim: "VectorSimulation", s: int,
     if sim.cnt[s] == 0 or not budget.can_send():
         return
     needy = sim.begin_turn(s).needy
-    out = sim._pout[s]
     ids = sim.ids
-    held = sim.held
-    cnt = sim.cnt
-    npieces = sim.n_pieces
-    uw = sim.usable[s]
     drow = sim.D[s]
     den = budget._den
     rb = sim._fs.randbelow
     send = sim._plain_send
-    while True:
-        if not needy:
-            return
+    while needy:
         arr = np.array(needy, dtype=np.int64)
         d = drow[arr]
         ties = arr[d == d.min()].tolist()
@@ -560,15 +538,6 @@ def run_fairtorrent_fast(sim: "VectorSimulation", s: int,
             t = ties[j]
             ties[j] = ties[-1]
             ties.pop()
-            if held[t] & uw == uw:
-                # Stale superset entry: evict; the remaining ties are
-                # still the minimum level of the remaining pool.
-                k = needy.index(t)
-                needy[k] = needy[-1]
-                needy.pop()
-                if cnt[t] != npieces:
-                    out.append(t)
-                continue
             if not send(s, ids[t]):
                 return
             if budget._credits_num < den:
@@ -608,10 +577,7 @@ def run_bittorrent_fast(sim: "VectorSimulation", s: int,
         unchoked = cand[:sim.params.n_bt]
     rb = fs.randbelow
     send = sim._plain_send
-    out = sim._pout[s]
     ids = sim.ids
-    cnt = sim.cnt
-    npieces = sim.n_pieces
     den = budget._den
     left = b0
     past: list = None  # per-turn contributor cache for the fallback
@@ -623,20 +589,12 @@ def run_bittorrent_fast(sim: "VectorSimulation", s: int,
             needy = turn.needy
             if needy is None:
                 needy = sim.ensure_needy(turn)
-            while True:
-                n = len(needy)
-                if n == 0:
-                    return
-                j = rb(n) if n > 1 else 0
-                t = needy[j]
-                if held[t] & usable_s != usable_s:
-                    if not send(s, ids[t], j):
-                        return
-                    break
-                needy[j] = needy[n - 1]
-                needy.pop()
-                if cnt[t] != npieces:
-                    out.append(t)
+            n = len(needy)
+            if n == 0:
+                return
+            j = rb(n) if n > 1 else 0
+            if not send(s, ids[needy[j]], j):
+                return
             continue
         sent_index = None
         # Budget is known >= den here (checked at the top of the
@@ -651,13 +609,14 @@ def run_bittorrent_fast(sim: "VectorSimulation", s: int,
             continue
         # Fallback: a random all-time contributor among the needy.
         # The contributor set is fixed within the turn (the uploader
-        # receives nothing during its own slots), so it is built once
-        # and revalidated per draw — rejection keeps the pick uniform
-        # over the still-interesting contributors.
-        needy = turn.needy
-        if needy is None:
-            needy = sim.ensure_needy(turn)
+        # receives nothing during its own slots), so it is built once.
+        # Sends repair the needy pool but not this copy, so each draw
+        # is revalidated — rejection keeps the pick uniform over the
+        # still-interesting contributors.
         if past is None:
+            needy = turn.needy
+            if needy is None:
+                needy = sim.ensure_needy(turn)
             base = s * sim.n_slots
             Rf = sim._Rf
             past = [t for t in needy if Rf[base + t] > 0]
@@ -670,16 +629,6 @@ def run_bittorrent_fast(sim: "VectorSimulation", s: int,
                 break
             past[j] = past[n - 1]
             past.pop()
-            try:
-                k = needy.index(t)
-            except ValueError:
-                # Already repaired out of the needy pool by an
-                # earlier send this turn.
-                continue
-            needy[k] = needy[-1]
-            needy.pop()
-            if cnt[t] != npieces:
-                out.append(t)
 
 
 def run_propshare_fast(sim: "VectorSimulation", s: int,
@@ -694,12 +643,9 @@ def run_propshare_fast(sim: "VectorSimulation", s: int,
     if sim.cnt[s] == 0:
         return  # nothing to send; skip the parity-only coin flips
     needy = sim.begin_turn(s).needy
-    out = sim._pout[s]
     members = sim.members
     ids = sim.ids
     held = sim.held
-    cnt = sim.cnt
-    npieces = sim.n_pieces
     uw = sim.usable[s]
     vs = sim.vset.get(sim.ids[s]) or ()
     den = budget._den
@@ -711,25 +657,17 @@ def run_propshare_fast(sim: "VectorSimulation", s: int,
         if budget._credits_num < den:
             return
         if fs.random() < alpha:
-            while True:
-                n = len(needy)
-                if n == 0:
-                    return
-                j = rb(n) if n > 1 else 0
-                t = needy[j]
-                if held[t] & uw != uw:
-                    if not send(s, ids[t], j):
-                        return
-                    break
-                needy[j] = needy[n - 1]
-                needy.pop()
-                if cnt[t] != npieces:
-                    out.append(t)
+            n = len(needy)
+            if n == 0:
+                return
+            j = rb(n) if n > 1 else 0
+            if not send(s, ids[needy[j]], j):
+                return
             continue
         # Reciprocal slot: weight by last-round (then all-time)
-        # contribution. Candidates are interest-tested directly —
-        # equivalent to the parity kernel's membership check against
-        # its per-turn needy pool, which the superset pool replaces.
+        # contribution. Last-round candidates are interest-tested
+        # directly, which is the parity kernel's membership check
+        # against its needy pool without an id lookup.
         lr = sim.last_rcv[s]
         weights: Dict[int, int] = {}
         if lr:
@@ -742,7 +680,7 @@ def run_propshare_fast(sim: "VectorSimulation", s: int,
             arr = np.array(needy, dtype=np.int64)
             amts = sim.R[s, arr]
             for t, amt in zip(arr.tolist(), amts.tolist()):
-                if amt > 0 and held[t] & uw != uw:
+                if amt > 0:
                     weights[ids[t]] = amt
         if not weights:
             continue  # reciprocal slot idles
@@ -760,89 +698,50 @@ def run_reputation_fast(sim: "VectorSimulation", s: int,
 
     Targets' reputations cannot change during the uploader's own turn
     (only the uploader earns reputation from its sends), so the weight
-    vector is computed once and rebuilt only when the needy pool
-    shrinks — the parity kernel rebuilds it on every reciprocal send.
+    vector is computed once per turn and follows the pool's swap-pops
+    — the parity kernel rebuilds it on every reciprocal send.
     """
     budget = sim.budgets[s]
     attempts = budget.available()
     if attempts == 0 or sim.cnt[s] == 0:
         return
     needy = sim.begin_turn(s).needy
-    out = sim._pout[s]
     ids = sim.ids
-    held = sim.held
-    cnt = sim.cnt
-    npieces = sim.n_pieces
-    uw = sim.usable[s]
     alpha = sim.params.alpha_r
     rep = sim.rep
     fs = sim._fs
     den = budget._den
     rb = fs.randbelow
     send = sim._plain_send
-    weights: List[float] = []
+    weights: Optional[List[float]] = None
     total = 0.0
-    stale = True
-
-    def evict(i: int, t: int) -> None:
-        # Swap-pop keeps ``weights`` index-aligned with the pool.
-        needy[i] = needy[-1]
-        needy.pop()
-        if cnt[t] != npieces:
-            out.append(t)
-        if not stale and len(weights) == len(needy) + 1:
-            nonlocal total
-            total -= weights[i]
-            weights[i] = weights[-1]
-            weights.pop()
-
     left = attempts
     while left > 0:
         left -= 1
         if budget._credits_num < den:
             return
-        if fs.random() < alpha:
-            while True:
-                n = len(needy)
-                if n == 0:
-                    return
-                j = rb(n) if n > 1 else 0
-                t = needy[j]
-                if held[t] & uw != uw:
-                    break
-                evict(j, t)
-            if not send(s, ids[t], j):
-                return
-            stale = stale or len(needy) != n
+        coin = fs.random()
+        n = len(needy)
+        if n == 0:
+            return
+        if coin < alpha:
+            i = rb(n) if n > 1 else 0
         else:
-            n = len(needy)
-            if n == 0:
-                return
-            if stale or len(weights) != n:
+            if weights is None:
                 weights = [rep[ids[t]] for t in needy]
-                total = 0.0
                 for w in weights:
                     total += w
-                stale = False
-            while True:
-                if total <= 0:
-                    break  # reserved share unusable: all zero-rep
-                n = len(needy)
-                if n == 0:
-                    return
-                i = _weighted_pick(fs.random() * total, needy, weights)
-                t = needy[i]
-                if held[t] & uw != uw:
-                    if not send(s, ids[t], i):
-                        return
-                    if len(needy) != n:
-                        # The served target left the pool (swap-pop):
-                        # drop its weight to stay aligned.
-                        total -= weights[i]
-                        weights[i] = weights[-1]
-                        weights.pop()
-                    break
-                evict(i, t)
+            if total <= 0:
+                continue  # reserved share unusable: all zero-rep
+            i = _weighted_pick(fs.random() * total, needy, weights)
+        if not send(s, ids[needy[i]], i):
+            return
+        if weights is not None and len(needy) != n:
+            # The served target left the pool (swap-pop): drop its
+            # weight to stay aligned.
+            total -= weights[i]
+            weights[i] = weights[-1]
+            weights.pop()
 
 
 def run_tchain_fast(sim: "VectorSimulation", s: int,
@@ -851,12 +750,13 @@ def run_tchain_fast(sim: "VectorSimulation", s: int,
 
     The parity kernel rescans the view for eligibility (interest and
     no blacklist) and fully shuffles the result before *every* send.
-    Here the persistent interest pool replaces the scan, a partial
+    Here the turn's needy pool replaces the scan, a partial
     Fisher-Yates over a copy replaces the full shuffle (one draw per
-    candidate actually probed), and blacklisting is tested per probe
-    by ``tchain_seed`` itself. The eligible members occupy uniformly
-    random relative positions in a uniform permutation of the
-    superset, so the accepted-target distribution is exactly the
+    candidate actually probed), and interest and blacklisting are
+    tested per probe: encrypted seeds do not repair the pool, so it
+    is a superset of the eligible members. The eligible members occupy
+    uniformly random relative positions in a uniform permutation of
+    the superset, so the accepted-target distribution is exactly the
     parity kernel's.
     """
     budget = sim.budgets[s]
@@ -870,12 +770,9 @@ def run_tchain_fast(sim: "VectorSimulation", s: int,
     if not budget.can_send():
         return
     needy = sim.begin_turn(s).needy
-    out = sim._pout[s]
     rb = sim._fs.randbelow
     ids = sim.ids
     held = sim.held
-    cnt = sim.cnt
-    npieces = sim.n_pieces
     uw = sim.usable[s]
     den = budget._den
     seed = sim.tchain_seed
@@ -888,14 +785,7 @@ def run_tchain_fast(sim: "VectorSimulation", s: int,
             t = cand[j]
             m -= 1
             cand[j] = cand[m]
-            if held[t] & uw == uw:
-                k = needy.index(t)
-                needy[k] = needy[-1]
-                needy.pop()
-                if cnt[t] != npieces:
-                    out.append(t)
-                continue
-            if seed(s, ids[t]):
+            if held[t] & uw != uw and seed(s, ids[t]):
                 accepted = True
                 break
         if not accepted:

@@ -117,20 +117,6 @@ class FluidState:
     downloaders: float
     seeds: float
 
-    @property
-    def total_peers(self) -> float:
-        return self.downloaders + self.seeds
-
-
-def _completion_rate(params: FluidParameters, x: float, y: float) -> float:
-    """Downloads completed per unit time: min of demand and supply."""
-    if x <= 0.0:
-        return 0.0  # nobody downloading (also avoids inf * 0)
-    supply = params.upload_rate * (params.effectiveness * x + y)
-    if math.isinf(params.download_cap):
-        return supply
-    return min(params.download_cap * x, supply)
-
 
 def simulate_fluid(params: FluidParameters, t_end: float,
                    dt: float = 0.01, x0: float = 0.0, y0: float = 1.0,

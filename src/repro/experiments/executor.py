@@ -13,7 +13,9 @@ crash-isolation semantics the sweep runner is built on:
   task's ``max_attempts``);
 * a per-task wall-clock ``timeout`` is enforced from the parent without
   serializing the batch: only the offending worker is killed while its
-  siblings keep running;
+  siblings keep running. The clock starts when the worker reports the
+  task unpickled, so a ``spawn`` worker's boot and imports never count
+  against it;
 * :data:`DEFAULT_CRASH_STORM_LIMIT` workers in a row that each die
   before finishing a task trip a circuit breaker
   (:class:`RespawnStormError`) instead of respawning forever;
@@ -286,7 +288,8 @@ class ExecutionReport:
 # ----------------------------------------------------------------------
 
 def _worker_main(conn) -> None:
-    """Worker loop: receive ``(fn, args)``, run, send the outcome back.
+    """Worker loop: receive ``(fn, args)``, report ``("started",)``,
+    run, send the outcome back.
 
     SIGINT is ignored — a Ctrl-C in the parent's terminal reaches the
     whole process group, and shutdown must stay under the parent's
@@ -316,6 +319,10 @@ def _worker_main(conn) -> None:
         if message is None:  # stop sentinel
             break
         fn, args = message
+        try:
+            conn.send(("started",))
+        except Exception:
+            break
         start = time.perf_counter()
         try:
             value = fn(*args)
@@ -364,6 +371,9 @@ class _Running:
     attempt: int
     enqueued_at: float
     dispatched_at: float
+    #: When the worker reported the task unpickled; the timeout runs
+    #: from here.
+    started_at: Optional[float] = None
 
 
 class _Worker:
@@ -499,6 +509,10 @@ class _Engine:
 
     def _handle_message(self, worker: _Worker, message: tuple) -> None:
         running = worker.current
+        if message[0] == "started":
+            if running is not None:
+                running.started_at = self.clock()
+            return
         worker.current = None
         worker.tasks_done += 1
         self.cold_deaths = 0  # a worker is completing tasks: pool is healthy
@@ -578,9 +592,9 @@ class _Engine:
         now = self.clock()
         for worker in list(self.workers.values()):
             running = worker.current
-            if running is None:
+            if running is None or running.started_at is None:
                 continue
-            if now - running.dispatched_at <= self.timeout:
+            if now - running.started_at <= self.timeout:
                 continue
             worker.current = None
             self._reap(worker, graceful=False)
@@ -588,7 +602,7 @@ class _Engine:
             self._attempt_failed(
                 running.index, running.attempt, worker.wid,
                 f"timeout after {self.timeout}s",
-                wall_s=now - running.dispatched_at,
+                wall_s=now - running.started_at,
                 queue_wait_s=running.dispatched_at - running.enqueued_at)
             self._maybe_respawn()
 
@@ -596,9 +610,10 @@ class _Engine:
         now = self.clock()
         wakeups = [now + _POLL_CEILING_S]
         if self.timeout is not None:
-            wakeups.extend(w.current.dispatched_at + self.timeout
+            wakeups.extend(w.current.started_at + self.timeout
                            for w in self.workers.values()
-                           if w.current is not None)
+                           if w.current is not None
+                           and w.current.started_at is not None)
         return max(0.0, min(wakeups) - now)
 
     # -- main loop -------------------------------------------------------

@@ -18,8 +18,8 @@ random, precisely so that contract can hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping, Tuple, Union
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import ConfigurationError
 
@@ -104,11 +104,3 @@ class ObsConfig:
             if name == category:
                 return rate
         return 1
-
-    def with_rates(self, rates: Union[Mapping[str, int],
-                                      Tuple[Tuple[str, int], ...]],
-                   ) -> "ObsConfig":
-        """Variant with the given per-category sampling rates."""
-        if isinstance(rates, Mapping):
-            rates = tuple(rates.items())
-        return replace(self, trace_sample_rates=tuple(rates))

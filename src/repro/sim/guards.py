@@ -28,7 +28,7 @@ The seed-pinned equivalence tests hold the code to that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import (ConfigurationError, InvariantViolationError,
@@ -134,9 +134,6 @@ class GuardConfig:
     @property
     def enabled(self) -> bool:
         return self.mode != "off"
-
-    def with_mode(self, mode: str) -> "GuardConfig":
-        return replace(self, mode=mode)
 
 
 @dataclass(frozen=True)

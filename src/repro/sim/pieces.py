@@ -229,9 +229,6 @@ class AvailabilityMap:
         for piece in pieces:
             self.remove_piece(piece)
 
-    def rarity_key(self, piece: int) -> int:
-        return self._counts[piece]
-
     def rarest_subset(self, candidate_mask: int) -> int:
         """Bitmask of the minimum-count pieces within ``candidate_mask``.
 

@@ -118,7 +118,8 @@ class _Turn:
     """Per-uploader-turn cache of the needy-neighbor pool.
 
     ``needy`` is the ascending list of view-member ids that need at
-    least one of the uploader's usable pieces — or ``None`` until
+    least one of the uploader's usable pieces (slots, in no fixed
+    order, on the fast lineage) — or ``None`` until
     first use for kernels that may finish a turn without it
     (BitTorrent's tit-for-tat slots). During one uploader's turn only
     its *targets* change state, so after each successful send the
@@ -621,9 +622,13 @@ class VectorSimulation:
         # one of u's usable pieces iff held & usable != usable.
         return [p for p, t in zip(vids, vslots) if held[t] & uw != uw]
 
+    #: The per-turn pool kernels draw from (the fast lineage overrides
+    #: this with a pool of slots).
+    _pool = _needy_list
+
     def begin_turn(self, u: int) -> _Turn:
         """Compute the uploader's needy pool once for this turn."""
-        turn = _Turn(u, self._needy_list(u))
+        turn = _Turn(u, self._pool(u))
         self._turn = turn
         return turn
 
@@ -634,7 +639,7 @@ class VectorSimulation:
         return turn
 
     def ensure_needy(self, turn: _Turn) -> List[int]:
-        needy = self._needy_list(turn.uslot)
+        needy = self._pool(turn.uslot)
         turn.needy = needy
         return needy
 
@@ -1488,23 +1493,24 @@ class VectorFastSimulation(VectorSimulation):
 
     Same struct-of-arrays state, round phases, transfer primitives and
     fault injection as :class:`VectorSimulation` — the overrides below
-    swap only *where randomness comes from*, *how much of it is drawn*
-    and *how needy pools are kept*:
+    swap only *where randomness comes from* and *how much of it is
+    drawn*:
 
     * in-round decision draws (piece picks via ``_pick``, candidate
       choices, optimism coins, turn-order shuffles) come from one
       buffered PCG64 stream (:class:`_FastSampler`) instead of
       replaying the object engine's Mersenne streams draw-for-draw,
       and a pick among one option draws nothing;
-    * needy pools persist across turns as unordered slot supersets
-      (``_pool_for``), so a served target leaves by swap-pop onto the
-      evicted list (``_leave_pool``);
+    * each turn's needy pool is the parity engine's exact set, held as
+      slots in no fixed order, so a served target leaves by swap-pop
+      (``_leave_pool``);
     * kernels use the batched variants in
       :mod:`repro.algorithms.vector_kernels` (``FAST_KERNELS``), which
       drop draw-parity bookkeeping: T-Chain seeds via a lazy partial
-      Fisher-Yates instead of a full shuffle per send, FairTorrent
-      swap-pops its tie picks, Reputation caches its weight vector
-      across sends.
+      Fisher-Yates instead of a full shuffle per send, designated and
+      forward targets are rejection-sampled from the view, FairTorrent
+      swap-pops its tie picks, Reputation keeps one weight vector per
+      turn instead of one per send.
 
     Results are *distributionally* equivalent to the object engine
     (enforced by ``tests/integration/test_distributional_parity.py``)
@@ -1528,25 +1534,6 @@ class VectorFastSimulation(VectorSimulation):
     def __init__(self, config: SimulationConfig) -> None:
         self._fs = _FastSampler(config.seed)
         super().__init__(config)
-        n_slots = self.n_slots
-        # Persistent needy pools (see _pool_for): per-uploader lists of
-        # maybe-stale needy member ids, the ids last observed satisfied,
-        # the usable mask the split was computed under, and the view
-        # tuple it was built from (identity doubles as a view version:
-        # every connect/disconnect pops ``varr``, so a changed view is
-        # a changed tuple).
-        self._pl: List[Optional[List[int]]] = [None] * n_slots
-        self._pout: List[Optional[List[int]]] = [None] * n_slots
-        self._puw: List[int] = [0] * n_slots
-        self._pview: List[Optional[tuple]] = [None] * n_slots
-        # Rescan short-circuit state: the evicted-list length at the
-        # last rescan and the AND of the evictees' held masks as of
-        # then. held only grows, so if that (stale-low) AND still
-        # covers the current usable set, no evictee can have become
-        # interesting — the rescan is skipped. Any eviction since
-        # (detected by the length) invalidates the pair.
-        self._plen: List[int] = [0] * n_slots
-        self._pand: List[int] = [-1] * n_slots
 
     def _select_kernels(self):
         from repro.algorithms.vector_kernels import (
@@ -1597,15 +1584,6 @@ class VectorFastSimulation(VectorSimulation):
             i += 1
         if coalition_hit:
             self._sync_coalition()
-
-    def _expire_obligations(self) -> None:
-        # Expiry shrinks ``held`` without a view change — the one
-        # mutation the cached needy pools' "held only grows" rescan
-        # shortcut cannot see — so any expiry invalidates every pool.
-        before = self.collector.faults.obligations_expired
-        super()._expire_obligations()
-        if self.collector.faults.obligations_expired != before:
-            self._pview[:] = [None] * self.n_slots
 
     def _choose_designated(self, u: int, target_id: int,
                            piece: int) -> Optional[int]:
@@ -1681,94 +1659,22 @@ class VectorFastSimulation(VectorSimulation):
             yield candidates[n]
 
     # ------------------------------------------------------------------
-    # Cached needy pools
+    # Needy pools
     # ------------------------------------------------------------------
-    # The parity engine rebuilds the needy pool from the view on every
-    # turn (the object strategies do the same scan). Here each
-    # uploader keeps its pool across turns as a *superset* of the true
-    # needy set: members can only leave it by becoming satisfied, and
-    # kernels validate each drawn candidate with one bigint test,
-    # evicting stale entries into ``_pout``. Rejection sampling from a
-    # superset with per-draw validation is exactly uniform over the
-    # true pool, so the policy distribution is unchanged. Re-entry
-    # happens only when the uploader's usable set grows (interest is
-    # monotone in it): ``_pool_for`` rescans the evicted list whenever
-    # the usable snapshot moved. View changes (arrival, churn,
-    # whitewash, departure) invalidate the whole split via the view
-    # tuple identity. Pools are swap-pop mutated and therefore
-    # unordered — every fast kernel draws by index or by weight, never
-    # by position, so order does not matter.
-    def _pool_for(self, u: int) -> List[int]:
-        """The uploader's pool, stored as *slots* (no id indirection:
-        a slot outlives the ids that pass through it, and a slot
-        reassignment always changes the view and rebuilds the pool)."""
-        hit = self._view(self.ids[u])
+    # Each turn starts from the exact pool, like the parity engine's,
+    # but as view-member *slots* (the kernels index the per-slot arrays
+    # directly). Kernels draw from it by index or by weight, never by
+    # position, so a served target leaves by swap-pop.
+    def _pool(self, u: int) -> List[int]:
+        """Slots of the view members that need one of ``u``'s usable
+        pieces."""
         uw = self.usable[u]
-        if self._pview[u] is not hit:
-            held = self.held
-            cnt = self.cnt
-            npieces = self.n_pieces
-            pool: List[int] = []
-            out: List[int] = []
-            pand = -1
-            for t in hit[1]:
-                h = held[t]
-                if h & uw != uw:
-                    pool.append(t)
-                elif cnt[t] != npieces:
-                    # Completed members are dropped outright: cnt is
-                    # monotone per slot, so they can never rejoin.
-                    out.append(t)
-                    pand &= h
-            self._pl[u] = pool
-            self._pout[u] = out
-            self._plen[u] = len(out)
-            self._pand[u] = pand
-            self._puw[u] = uw
-            self._pview[u] = hit
-            return pool
-        if self._puw[u] != uw:
-            pool = self._pl[u]
-            out = self._pout[u]
-            if out and not (len(out) == self._plen[u]
-                            and self._pand[u] & uw == uw):
-                held = self.held
-                keep: List[int] = []
-                pand = -1
-                for t in out:
-                    h = held[t]
-                    if h & uw != uw:
-                        pool.append(t)
-                    else:
-                        keep.append(t)
-                        pand &= h
-                out[:] = keep
-                self._plen[u] = len(keep)
-                self._pand[u] = pand
-            self._puw[u] = uw
-        return self._pl[u]
-
-    def begin_turn(self, u: int) -> _Turn:
-        turn = _Turn(u, self._pool_for(u))
-        self._turn = turn
-        return turn
-
-    def ensure_needy(self, turn: _Turn) -> List[int]:
-        needy = self._pool_for(turn.uslot)
-        turn.needy = needy
-        return needy
+        held = self.held
+        return [t for t in self._view(self.ids[u])[1] if held[t] & uw != uw]
 
     def _leave_pool(self, u: int, needy: List[int], j: Optional[int],
                     target_id: int, ts: int) -> None:
-        # Pools hold unordered slots: swap-pop the target, and park it
-        # on the evicted list so a usable-set change can re-admit it —
-        # unless it just completed, in which case it never can.
         if j is None:
-            try:
-                j = needy.index(ts)
-            except ValueError:
-                return
+            j = needy.index(ts)
         needy[j] = needy[-1]
         needy.pop()
-        if self.cnt[ts] != self.n_pieces:
-            self._pout[u].append(ts)

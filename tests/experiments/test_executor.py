@@ -287,6 +287,17 @@ class TestFailureIsolation:
             # behind it.
             assert elapsed < 20.0
 
+    def test_timeout_excludes_worker_boot(self):
+        # A spawned worker takes longer than this timeout to import
+        # the simulator; its instant tasks must still finish.
+        for start_method in START_METHODS:
+            specs = [TaskSpec(key=i, fn=square, args=(i,)) for i in (1, 2)]
+            report = run_tasks(specs, jobs=2, timeout=0.3,
+                               start_method=start_method)
+            assert [r.status for r in report.results] == ["ok", "ok"], \
+                [r.error for r in report.results]
+            assert report.stats.timeouts == 0
+
 
 class TestTelemetry:
     def test_stats_accounting(self):
