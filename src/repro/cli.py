@@ -9,16 +9,20 @@ Commands
     headed by an ``engine:`` line naming the backend and digest lineage
     of the runs (the scenario presets run on ``vector``).
 ``run``
-    Run a single simulation and print (or export) its metrics.
+    Run a single simulation and print (or export) its metrics, headed
+    by how the run ended: ``termination`` is ``complete``, ``cap``
+    (the round cap cut it off while something could still happen) or
+    ``stalled`` (nothing more could happen), with ``n_stuck`` the
+    incomplete compliant peers left in the swarm.
     ``--loss-rate``/``--crash-hazard``/... inject faults.
-    ``--guards {cheap,full}`` enables runtime invariant checks and the
-    stall watchdog; guard failures exit 3 (with a crash-bundle path on
-    stderr) and watchdog-degraded runs exit 4.
+    ``--guards {cheap,full}`` enables runtime invariant checks; guard
+    failures exit 3 (with a crash-bundle path on stderr).
 ``sweep``
     Crash-safe replicated sweep on a persistent worker pool
     (``--jobs``): crash isolation, per-replicate timeouts, bounded
     retry with reseeding, a resumable checkpoint journal, and
-    sweep telemetry. ``--cache-dir`` fetches/persists finished
+    sweep telemetry; each replicate line says how its run ended.
+    ``--cache-dir`` fetches/persists finished
     replicates in a content-addressed result cache (``--cache-strict``
     makes a corrupt entry fatal). ``--sample-every N`` ships each
     replicate's gauge series home through the telemetry channel;
@@ -67,7 +71,7 @@ from dataclasses import replace
 from typing import List, Optional
 
 from repro.errors import (ConfigurationError, InvariantViolationError,
-                          SimulationError, SimulationStalled)
+                          SimulationError)
 from repro.experiments import figures, report, scenarios
 from repro.experiments.cache import CacheCorruptionError
 from repro.experiments.export import result_to_json, summary_dict
@@ -280,14 +284,6 @@ def _add_guard_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--bundle-dir", metavar="DIR", default=None,
                        help="directory for crash-forensics bundles "
                             "(default ./crash-bundles)")
-    group.add_argument("--watchdog-window", type=int, default=None,
-                       metavar="ROUNDS",
-                       help="rounds without swarm progress before the "
-                            "stall watchdog fires (default 60)")
-    group.add_argument("--watchdog-action", choices=["degrade", "raise"],
-                       default=None,
-                       help="on stall: finalize with degraded=True, or "
-                            "raise SimulationStalled")
 
 
 def _apply_guards(config: SimulationConfig,
@@ -297,10 +293,6 @@ def _apply_guards(config: SimulationConfig,
     overrides = {}
     if args.bundle_dir is not None:
         overrides["bundle_dir"] = args.bundle_dir
-    if args.watchdog_window is not None:
-        overrides["watchdog_window"] = args.watchdog_window
-    if args.watchdog_action is not None:
-        overrides["watchdog_action"] = args.watchdog_action
     return config.with_guards(args.guards, **overrides)
 
 
@@ -437,12 +429,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"run: crash bundle written to {exc.bundle_path}",
                   file=sys.stderr)
         return 3
-    except SimulationStalled as exc:
-        print(f"run: simulation stalled: {exc}", file=sys.stderr)
-        if exc.bundle_path:
-            print(f"run: crash bundle written to {exc.bundle_path}",
-                  file=sys.stderr)
-        return 3
     except SimulationError as exc:
         # Hybrid-engine failures: a subswarm died in its worker, or the
         # population-conservation ledger refused to balance.
@@ -479,14 +465,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("run: note: --trace-out has no per-event trace in hybrid "
               "mode; coupling-boundary series are exported in --json "
               "output (metrics.obs.series)", file=sys.stderr)
-    if result.metrics.degraded:
-        print("run: WARNING: stall watchdog degraded this run "
-              "(metrics cover only the rounds before the stall)",
-              file=sys.stderr)
-        if result.metrics.bundle_path:
-            print(f"run: crash bundle written to "
-                  f"{result.metrics.bundle_path}", file=sys.stderr)
-        return 4
     return 0
 
 
@@ -553,8 +531,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
           f"{result.n_failed} failed)")
     for outcome in result.outcomes:
         status = outcome.status
-        if outcome.degraded:
-            status += " (degraded: stall watchdog fired)"
+        if outcome.termination is not None:
+            status += f" ({outcome.termination}, {outcome.n_stuck} stuck)"
         if outcome.attempts > 1:
             status += f" after {outcome.attempts} attempts"
         timing = ""
@@ -602,10 +580,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"{summary.std:10.4f} {summary.n:3d} {summary.n_missing:4d}")
     if result.n_failed:
         return 1
-    if result.n_degraded:
-        print(f"sweep: WARNING: {result.n_degraded} replicate(s) degraded "
-              "by the stall watchdog", file=sys.stderr)
-        return 4
     return 0
 
 
@@ -630,7 +604,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     sim = Simulation(config)
     try:
         sim.run()
-    except (InvariantViolationError, SimulationStalled) as exc:
+    except InvariantViolationError as exc:
         print(f"trace: {exc}", file=sys.stderr)
         return 3
     obs = sim.obs

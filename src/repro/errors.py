@@ -16,7 +16,6 @@ __all__ = [
     "SimulationError",
     "ProtocolViolationError",
     "InvariantViolationError",
-    "SimulationStalled",
     "UnknownAlgorithmError",
 ]
 
@@ -70,26 +69,6 @@ class InvariantViolationError(SimulationError):
             message = f"{message} [bundle: {bundle_path}]"
         super().__init__(message)
         self.violations = tuple(violations)
-        self.bundle_path = bundle_path
-
-
-class SimulationStalled(SimulationError):
-    """The progress watchdog detected a livelocked swarm.
-
-    No piece completed across the configured sim-time window while
-    downloaders remained active. Raised only under
-    ``watchdog_action="raise"``; the default ``"degrade"`` mode
-    finalizes the run with partial metrics flagged ``degraded=True``
-    instead. ``stall`` is the watchdog's evidence dict and
-    ``bundle_path`` the forensics bundle (also embedded in the message
-    as ``[bundle: <path>]``).
-    """
-
-    def __init__(self, message: str, stall=None, bundle_path=None) -> None:
-        if bundle_path:
-            message = f"{message} [bundle: {bundle_path}]"
-        super().__init__(message)
-        self.stall = stall
         self.bundle_path = bundle_path
 
 

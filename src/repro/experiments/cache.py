@@ -33,7 +33,8 @@ from typing import Any, Dict, Optional
 
 __all__ = ["ResultCache", "CacheStats", "CacheCorruptionError"]
 
-_CACHE_VERSION = 1
+#: Version 2: outcomes carry ``termination``/``n_stuck``, not ``degraded``.
+_CACHE_VERSION = 2
 
 
 class CacheCorruptionError(RuntimeError):

@@ -46,6 +46,8 @@ def summary_dict(result: SimulationResult) -> Dict[str, Any]:
         "freerider_fraction": config.freerider_fraction,
         "arrival_process": config.arrival_process,
         "rounds_run": metrics.rounds_run,
+        "termination": metrics.termination,
+        "n_stuck": metrics.n_stuck,
         "mean_completion_time": _finite(metrics.mean_completion_time()),
         "median_completion_time": _finite(metrics.median_completion_time()),
         "completion_fraction": metrics.completion_fraction(),

@@ -14,6 +14,7 @@ table printed by ``python -m repro figure4/5/6``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
@@ -24,6 +25,7 @@ from repro.experiments.scenarios import (
 )
 from repro.names import ALL_ALGORITHMS, Algorithm
 from repro.sim.config import SimulationConfig
+from repro.sim.metrics import TERMINATIONS
 from repro.sim.runner import SimulationResult
 from repro.utils import ascii_chart, format_table
 
@@ -112,14 +114,16 @@ class FigureResult:
 def engine_line(results: Iterable[SimulationResult]) -> str:
     """Name the engine that produced ``results`` in one line.
 
-    E.g. ``engine: vector (parity-v1), 6 runs``: the configured
-    backend and digest lineage of the runs (comma-joined if they
-    differ) and how many runs there were.
+    E.g. ``engine: vector (parity-v1), 18 runs: 17 complete, 1 stalled``:
+    the configured backend and digest lineage of the runs (comma-joined
+    if they differ), how many runs there were, and how they ended.
     """
     results = list(results)
     engines = sorted({f"{r.config.backend} ({r.metrics.digest_lineage})"
                       for r in results})
-    return f"engine: {', '.join(engines)}, {len(results)} runs"
+    ended = Counter(r.metrics.termination for r in results)
+    counts = ", ".join(f"{ended[t]} {t}" for t in TERMINATIONS if ended[t])
+    return f"engine: {', '.join(engines)}, {len(results)} runs: {counts}"
 
 
 def _series_for(result: SimulationResult) -> AlgorithmSeries:

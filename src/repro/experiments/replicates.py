@@ -179,12 +179,13 @@ class ReplicateOutcome:
     as failed. ``telemetry`` (worker id, wall time, queue wait) is
     observational and excluded from determinism digests.
 
-    ``degraded`` marks a replicate whose run the progress watchdog
-    finalized early (a livelocked swarm with partial metrics — see
-    :mod:`repro.sim.guards`); it is deterministic and journaled.
+    ``termination`` and ``n_stuck`` say how the replicate's run ended
+    (:attr:`repro.sim.metrics.SimulationMetrics.termination`; ``None``
+    for a failed replicate or a task that returns no metrics); they
+    are deterministic, journaled and part of the canonical digest.
     ``bundle_path`` links to the crash-forensics bundle the guards
-    wrote (violation, stall, or exception); it is machine-local, so —
-    like telemetry — it is journaled but digest-excluded.
+    wrote (violation or exception); it is machine-local, so — like
+    telemetry — it is journaled but digest-excluded.
 
     ``digest_lineage`` records which determinism contract produced the
     values (``"parity-v1"`` for the draw-exact object/vector engines,
@@ -201,7 +202,8 @@ class ReplicateOutcome:
     error: Optional[str]
     values: Dict[str, Optional[float]]
     telemetry: Optional[Dict[str, Any]] = None
-    degraded: bool = False
+    termination: Optional[str] = None
+    n_stuck: Optional[int] = None
     bundle_path: Optional[str] = None
     digest_lineage: str = "parity-v1"
 
@@ -219,7 +221,8 @@ class ReplicateOutcome:
             "status": self.status,
             "error": self.error,
             "values": dict(self.values),
-            "degraded": self.degraded,
+            "termination": self.termination,
+            "n_stuck": self.n_stuck,
             "digest_lineage": self.digest_lineage,
         }
 
@@ -247,11 +250,6 @@ class SweepResult:
     @property
     def n_failed(self) -> int:
         return sum(1 for o in self.outcomes if not o.ok)
-
-    @property
-    def n_degraded(self) -> int:
-        """Replicates the watchdog finalized early (partial metrics)."""
-        return sum(1 for o in self.outcomes if o.degraded)
 
     def to_rows(self) -> List[Dict[str, float]]:
         return [{
@@ -391,6 +389,8 @@ def _journal_load(path: str, fingerprint: str,
                 continue
             if record.get("kind") != "replicate":
                 continue  # summary/telemetry records are observational
+            if "termination" not in record:
+                continue  # written before runs said how they ended: re-run
             values = {name: record["values"].get(name)
                       for name in metric_names}
             completed[int(record["seed"])] = ReplicateOutcome(
@@ -401,7 +401,8 @@ def _journal_load(path: str, fingerprint: str,
                 error=record.get("error"),
                 values=values,
                 telemetry=record.get("telemetry"),
-                degraded=bool(record.get("degraded", False)),
+                termination=record["termination"],
+                n_stuck=record.get("n_stuck"),
                 bundle_path=record.get("bundle_path"),
                 # Journals written before lineages existed are all
                 # parity runs — the fast backend postdates the field.
@@ -619,7 +620,8 @@ def _outcome_from_cached(record: Any, metric_names: Sequence[str],
             error=record.get("error"),
             values={name: values.get(name) for name in metric_names},
             telemetry={"cache": "hit"},
-            degraded=bool(record.get("degraded", False)),
+            termination=record.get("termination"),
+            n_stuck=record.get("n_stuck"),
             digest_lineage=record.get("digest_lineage", "parity-v1"))
     except (KeyError, TypeError, ValueError):
         return None
@@ -649,8 +651,8 @@ def _outcome_from_result(result: TaskResult, fingerprint: str,
             used_seed=_used_seed(fingerprint, seed, result.attempts),
             attempts=result.attempts, status="ok", error=None,
             values=values, telemetry=telemetry,
-            degraded=bool(getattr(result.value, "degraded", False)),
-            bundle_path=getattr(result.value, "bundle_path", None),
+            termination=getattr(result.value, "termination", None),
+            n_stuck=getattr(result.value, "n_stuck", None),
             digest_lineage=getattr(result.value, "digest_lineage",
                                    "parity-v1"))
     error = (f"{result.error} "

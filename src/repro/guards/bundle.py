@@ -1,12 +1,12 @@
 """Crash-forensics bundles: self-contained snapshots of a failing run.
 
 A bundle is one JSON file written atomically (tmp file + ``os.replace``)
-the moment a guard fires — invariant violation, watchdog stall, or an
-unhandled exception escaping the runner. It carries everything needed
+the moment a guard fires — an invariant violation, or an unhandled
+exception escaping the runner. It carries everything needed
 to understand *and re-run* the failure on another machine: the full
 config (plus its fingerprint), the seed, the engine clock and upcoming
 event queue, per-peer state summaries, the recent transfer log, and
-the violation/stall/error report itself. :mod:`repro.guards.replay`
+the violation or error report itself. :mod:`repro.guards.replay`
 turns a bundle back into a simulation.
 """
 
@@ -24,7 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["BUNDLE_VERSION", "write_bundle", "load_bundle",
            "config_fingerprint"]
 
-BUNDLE_VERSION = 1
+#: Version 2 dropped the stall bundle kind and two guard-config fields.
+BUNDLE_VERSION = 2
 
 #: Default directory (under the working directory) when the guard
 #: config does not name one.
@@ -64,7 +65,6 @@ def _peer_summary(peer) -> Dict[str, Any]:
 def _build_payload(sim: "Simulation", kind: str,
                    guards: Optional["GuardRuntime"],
                    violations: Optional[List["InvariantViolation"]],
-                   stall: Optional[Dict[str, Any]],
                    error: Optional[BaseException]) -> Dict[str, Any]:
     config = sim.config
     engine = sim.engine
@@ -85,7 +85,6 @@ def _build_payload(sim: "Simulation", kind: str,
         },
         "round_index": sim.round_index,
         "violations": [v.to_dict() for v in violations or []],
-        "stall": stall,
         "error": None,
         "peers": peers,
         "recent_transfers": list(guards.recent_transfers) if guards else [],
@@ -109,11 +108,10 @@ def _build_payload(sim: "Simulation", kind: str,
 def write_bundle(sim: "Simulation", kind: str,
                  guards: Optional["GuardRuntime"] = None,
                  violations: Optional[List["InvariantViolation"]] = None,
-                 stall: Optional[Dict[str, Any]] = None,
                  error: Optional[BaseException] = None) -> str:
     """Atomically write one crash bundle; returns its path.
 
-    ``kind`` is ``"violation"``, ``"stall"``, or ``"exception"``. The
+    ``kind`` is ``"violation"`` or ``"exception"``. The
     write goes to a temp file in the target directory first and is
     published with ``os.replace``, so a bundle either exists complete
     or not at all — a crash mid-dump never leaves a half-written JSON
@@ -126,7 +124,7 @@ def write_bundle(sim: "Simulation", kind: str,
         bundle_dir = DEFAULT_BUNDLE_DIR
     os.makedirs(bundle_dir, exist_ok=True)
 
-    payload = _build_payload(sim, kind, guards, violations, stall, error)
+    payload = _build_payload(sim, kind, guards, violations, error)
     stem = (f"bundle-{kind}-{sim.config.algorithm.value}"
             f"-seed{sim.config.seed}-r{sim.round_index}")
     path = os.path.join(bundle_dir, f"{stem}.json")

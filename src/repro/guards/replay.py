@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import InvariantViolationError, SimulationStalled
+from repro.errors import InvariantViolationError
 from repro.guards.bundle import load_bundle
 
 __all__ = ["ReplayResult", "replay"]
@@ -105,12 +105,6 @@ def replay(path: str, setup: Optional[Callable[[Any], None]] = None,
                         and round_index == fail_round),
             round_index=round_index, codes=codes, detail=str(exc),
             new_bundle_path=exc.bundle_path)
-    except SimulationStalled as exc:
-        stalled_round = (exc.stall or {}).get("round_index")
-        return ReplayResult(
-            bundle_path=path, kind=kind, outcome="stall",
-            reproduced=(kind == "stall"), round_index=stalled_round,
-            detail=str(exc), new_bundle_path=exc.bundle_path)
     except Exception as exc:
         recorded = payload.get("error") or {}
         return ReplayResult(
@@ -120,13 +114,6 @@ def replay(path: str, setup: Optional[Callable[[Any], None]] = None,
             detail=f"{type(exc).__name__}: {exc}",
             new_bundle_path=getattr(exc, "bundle_path", None))
 
-    if result.metrics.degraded:
-        stalled_round = (result.metrics.stall or {}).get("round_index")
-        return ReplayResult(
-            bundle_path=path, kind=kind, outcome="stall",
-            reproduced=(kind == "stall"), round_index=stalled_round,
-            detail="watchdog degraded the replay",
-            new_bundle_path=result.metrics.bundle_path)
     return ReplayResult(bundle_path=path, kind=kind, outcome="clean",
                         reproduced=False,
                         round_index=result.metrics.rounds_run,

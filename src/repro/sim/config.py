@@ -198,7 +198,7 @@ class SimulationConfig:
     #: Record every transfer in ``SimulationMetrics.transfers`` — useful
     #: for per-transfer invariant checks; off by default (memory).
     record_transfers: bool = False
-    #: Runtime invariant guards, stall watchdog, and crash forensics
+    #: Runtime invariant guards and crash forensics
     #: (:mod:`repro.sim.guards`). Off by default: guards are
     #: observation-only, but the paper's bare simulator stays the
     #: baseline.
@@ -424,7 +424,7 @@ class SimulationConfig:
 
         Keyword overrides are applied to the current
         :class:`~repro.sim.guards.GuardConfig`, e.g.
-        ``cfg.with_guards("full", watchdog_window=200)``.
+        ``cfg.with_guards("full", check_interval=10)``.
         """
         return replace(self, guards=replace(self.guards, mode=mode,
                                             **overrides))

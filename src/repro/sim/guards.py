@@ -1,4 +1,4 @@
-"""Runtime invariant guards, progress watchdog, and crash forensics.
+"""Runtime invariant guards and crash forensics.
 
 A silent conservation bug — pieces minted from nowhere, ledgers that
 stop summing to zero, a reputation score drifting to NaN — surfaces
@@ -11,13 +11,13 @@ Nielson et al. (arXiv:1108.2716) and Nasrulin et al. (arXiv:2308.07148):
   conservation, pairwise-ledger balance, reputation bounds, engine
   clock monotonicity, T-Chain obligation consistency, and NaN/negative
   guards on the metric accumulators;
-* a progress watchdog that detects livelocked swarms (no piece
-  completed across ``watchdog_window`` rounds while downloaders
-  remain) and either raises :class:`repro.errors.SimulationStalled`
-  or gracefully finalizes the run with metrics flagged ``degraded``;
 * a crash-bundle writer (:mod:`repro.guards.bundle`) invoked on any
-  violation, stall, or unhandled runner exception, so failures come
-  with self-contained forensics instead of a stack trace alone.
+  violation or unhandled runner exception, so failures come with
+  self-contained forensics instead of a stack trace alone.
+
+How a run ended (complete, at the round cap, or stalled) is not a
+guard: every engine computes it exactly once the run is over
+(:func:`repro.sim.metrics.run_termination`).
 
 Guards are **observation-only**: they consume no randomness and
 mutate nothing the simulation reads, so a run with guards enabled is
@@ -31,8 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.errors import (ConfigurationError, InvariantViolationError,
-                          SimulationStalled)
+from repro.errors import ConfigurationError, InvariantViolationError
 from repro.obs.tracer import EventTracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -71,8 +70,8 @@ GUARD_CATALOGUE: Dict[str, Tuple[str, str]] = {
                 "(usable, or pending for T-Chain forwards)"),
 }
 
-#: Stall/violation/exception bundles smaller than this ring are
-#: cheap enough to keep always; see ``GuardConfig.recent_transfers``.
+#: Violation/exception bundles smaller than this ring are cheap
+#: enough to keep always; see ``GuardConfig.recent_transfers``.
 _DEFAULT_RING = 64
 
 
@@ -84,21 +83,12 @@ class GuardConfig:
     ----------
     mode:
         ``"off"`` — no guards at all (the paper's bare simulator);
-        ``"cheap"`` — O(1) checks and the watchdog every round, swarm
-        scans every ``check_interval`` rounds (<5% wall-time budget);
+        ``"cheap"`` — O(1) checks every round, swarm scans every
+        ``check_interval`` rounds (<5% wall-time budget);
         ``"full"`` — every check every round, plus per-transfer
         on-event checks and the availability recount.
     check_interval:
         Rounds between swarm-wide scans in ``cheap`` mode.
-    watchdog_window:
-        Rounds without a single completed (usable) piece gain — while
-        incomplete compliant downloaders remain — before the run is
-        declared stalled. Arrivals also count as progress so a slow
-        Poisson trickle is not misread as a livelock.
-    watchdog_action:
-        ``"degrade"`` finalizes the run early with partial metrics
-        flagged ``degraded=True`` (sweeps get a diagnosable result);
-        ``"raise"`` raises :class:`repro.errors.SimulationStalled`.
     bundle_dir:
         Directory for crash-forensics bundles (created on demand).
         ``None`` uses ``crash-bundles`` under the working directory.
@@ -108,8 +98,6 @@ class GuardConfig:
 
     mode: str = "off"
     check_interval: int = 50
-    watchdog_window: int = 60
-    watchdog_action: str = "degrade"
     bundle_dir: Optional[str] = None
     recent_transfers: int = _DEFAULT_RING
 
@@ -120,14 +108,6 @@ class GuardConfig:
                 f"got {self.mode!r}")
         if self.check_interval < 1:
             raise ConfigurationError("guards.check_interval must be >= 1")
-        if self.watchdog_window < 1:
-            raise ConfigurationError(
-                f"guards.watchdog_window must be >= 1 rounds, got "
-                f"{self.watchdog_window} (a window of zero or less would "
-                "flag every run as stalled)")
-        if self.watchdog_action not in ("degrade", "raise"):
-            raise ConfigurationError(
-                "guards.watchdog_action must be 'degrade' or 'raise'")
         if self.recent_transfers < 0:
             raise ConfigurationError("guards.recent_transfers must be >= 0")
 
@@ -169,7 +149,7 @@ def _finite(value: Optional[float]) -> bool:
 
 
 class GuardRuntime:
-    """Per-run guard state: scheduled checks, watchdog, bundle hooks.
+    """Per-run guard state: scheduled checks and bundle hooks.
 
     One instance is owned by a :class:`~repro.sim.runner.Simulation`
     whose config enables guards. Every method is read-only with
@@ -180,9 +160,6 @@ class GuardRuntime:
     def __init__(self, config: GuardConfig) -> None:
         self.config = config
         self._full = config.mode == "full"
-        #: Round index of the last observed progress (usable piece
-        #: gain or arrival); the watchdog measures silence from here.
-        self._progress_round = 0
         self._prev_now = 0.0
         #: Previous values of the monotone metric accumulators.
         self._prev_counters: Tuple[int, int, int] = (0, 0, 0)
@@ -193,17 +170,10 @@ class GuardRuntime:
         self._transfer_ring = EventTracer(
             capacity=config.recent_transfers or 1,
             categories=("transfer",))
-        #: Degrade-mode stall outcome, stamped onto metrics at the end.
-        self._stall_info: Optional[Dict[str, Any]] = None
-        self._bundle_path: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Hooks called by the runner
     # ------------------------------------------------------------------
-    def note_progress(self, round_index: int) -> None:
-        """A usable piece landed (or a peer arrived): reset the watchdog."""
-        self._progress_round = round_index
-
     @property
     def recent_transfers(self) -> List[Dict[str, Any]]:
         """The rolling transfer log as bundle-ready dicts, oldest first."""
@@ -250,7 +220,7 @@ class GuardRuntime:
                                                 >> piece & 1)})])
 
     def after_round(self, sim: "Simulation") -> None:
-        """End-of-round sweep: run scheduled checks, then the watchdog."""
+        """End-of-round sweep: run the scheduled checks."""
         violations: List[InvariantViolation] = []
         violations += self._check_clock(sim)
         violations += self._check_metrics(sim)
@@ -263,69 +233,15 @@ class GuardRuntime:
             violations += self._check_availability(sim)
         if violations:
             self._fail(sim, violations)
-        if not sim._finished:
-            self._watchdog(sim)
 
     def on_unhandled_exception(self, sim: "Simulation",
                                exc: BaseException) -> Optional[str]:
         """Dump an ``exception`` bundle for a crash the runner didn't
         anticipate; returns the bundle path (None if writing failed)."""
         try:
-            path = self._write_bundle(sim, "exception", error=exc)
+            return self._write_bundle(sim, "exception", error=exc)
         except Exception:  # forensics must never mask the real failure
             return None
-        self._bundle_path = path
-        return path
-
-    def stamp_metrics(self, metrics) -> None:
-        """Transfer degrade-mode outcome onto the finished metrics.
-
-        ``degraded``/``stall``/``bundle_path`` live outside the digest
-        fields on purpose: they describe *how the run ended*, not the
-        measured physics, and stamping them keeps seed-pinned digests
-        byte-identical.
-        """
-        if self._stall_info is not None:
-            metrics.degraded = True
-            metrics.stall = dict(self._stall_info)
-            metrics.bundle_path = self._bundle_path
-
-    # ------------------------------------------------------------------
-    # Watchdog
-    # ------------------------------------------------------------------
-    def _watchdog(self, sim: "Simulation") -> None:
-        window = self.config.watchdog_window
-        silent = sim.round_index - self._progress_round
-        if silent < window:
-            return
-        downloaders = [p.peer_id for p in sim.swarm.peers.values()
-                       if not p.is_seeder and not p.is_freerider
-                       and not p.complete]
-        if not downloaders:
-            # Nobody compliant is waiting for data (e.g. only
-            # free-riders remain): silence is not a stall.
-            self._progress_round = sim.round_index
-            return
-        stall = {
-            "round_index": sim.round_index,
-            "time": sim.engine.now,
-            "last_progress_round": self._progress_round,
-            "window": window,
-            "downloaders": downloaders[:32],
-            "n_downloaders": len(downloaders),
-        }
-        try:
-            path = self._write_bundle(sim, "stall", stall=stall)
-        except Exception:
-            path = None
-        message = (f"no piece completed for {silent} rounds (window "
-                   f"{window}) while {len(downloaders)} downloaders remain")
-        if self.config.watchdog_action == "raise":
-            raise SimulationStalled(message, stall=stall, bundle_path=path)
-        # Graceful degrade: end the run now with partial metrics.
-        self._stall_info = stall
-        self._bundle_path = path
-        sim.finalize_degraded()
 
     # ------------------------------------------------------------------
     # Checks (all read-only)
@@ -549,8 +465,7 @@ class GuardRuntime:
 
     def _write_bundle(self, sim: "Simulation", kind: str,
                       violations: Optional[List[InvariantViolation]] = None,
-                      stall: Optional[Dict[str, Any]] = None,
                       error: Optional[BaseException] = None) -> str:
         from repro.guards.bundle import write_bundle
         return write_bundle(sim, kind, guards=self, violations=violations,
-                            stall=stall, error=error)
+                            error=error)

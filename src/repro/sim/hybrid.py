@@ -54,8 +54,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core import fluid as fluid_model
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.config import SimulationConfig
-from repro.sim.metrics import (FaultCounters, PeerSummary, RoundSample,
-                               SimulationMetrics, metrics_digest)
+from repro.sim.metrics import (TERMINATIONS, FaultCounters, PeerSummary,
+                               RoundSample, SimulationMetrics,
+                               metrics_digest)
 
 __all__ = [
     "CouplingRow",
@@ -164,6 +165,8 @@ class HybridMetrics(SimulationMetrics):
     while the *time series* (``samples``) and the coupling ledger are
     scaled up by the shard weight to population level, which is what
     population-scale plots and the conservation identity need.
+    ``termination`` is the worst shard verdict (``stalled`` over
+    ``cap`` over ``complete``) and ``n_stuck`` the shards' sum.
     """
 
     population: int = 0
@@ -587,7 +590,9 @@ def _aggregate(config: SimulationConfig, plan: ShardPlan,
         freerider_received=sum(s.freerider_received for s in shards),
         rounds_run=horizon,
         faults=_sum_faults(shards),
-        degraded=any(s.degraded for s in shards),
+        termination=max((s.termination for s in shards),
+                        key=TERMINATIONS.index),
+        n_stuck=sum(s.n_stuck for s in shards),
         population=plan.population,
         n_subswarms=plan.n_subswarms,
         subswarm_size=plan.subswarm_size,

@@ -17,11 +17,18 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping,
+                    Optional, Tuple)
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.config import SimulationConfig
 
 __all__ = ["RoundSample", "PeerSummary", "TransferRecord", "FaultCounters",
-           "MetricsCollector", "SimulationMetrics", "degradation_rows",
-           "metrics_digest"]
+           "MetricsCollector", "SimulationMetrics", "TERMINATIONS",
+           "degradation_rows", "metrics_digest", "run_termination"]
+
+#: How a run ended (``SimulationMetrics.termination``), best first.
+TERMINATIONS = ("complete", "cap", "stalled")
 
 
 @dataclass(frozen=True)
@@ -168,21 +175,18 @@ class SimulationMetrics:
     freerider_received: int = 0
     rounds_run: int = 0
     faults: FaultCounters = field(default_factory=FaultCounters)
-    #: Guard-subsystem outcome (see :mod:`repro.sim.guards`). These
-    #: describe *how the run ended*, not the measured physics, and are
-    #: deliberately excluded from :func:`metrics_digest` so a guarded
-    #: run stays byte-identical to an unguarded one. ``degraded`` means
-    #: the progress watchdog finalized a livelocked swarm early;
-    #: ``stall`` holds its evidence and ``bundle_path`` the forensics
-    #: bundle written at that point.
-    degraded: bool = False
-    stall: Optional[Dict[str, object]] = None
-    bundle_path: Optional[str] = None
+    #: How the run ended (:func:`run_termination`): ``"complete"``,
+    #: ``"cap"`` or ``"stalled"``, and ``n_stuck``, the incomplete
+    #: compliant peers still in the swarm at the end. They describe
+    #: *how the run ended*, not the measured physics, so they stay out
+    #: of :func:`metrics_digest`.
+    termination: str = "complete"
+    n_stuck: int = 0
     #: Observability payload (:meth:`repro.obs.runtime.ObsRuntime.finalize`):
     #: compacted per-round series, aggregated profile spans, and trace
     #: accounting. Telemetry about *watching* the run, not the run
-    #: itself — excluded from :func:`metrics_digest` like the guard
-    #: fields above, and journaled digest-free by sweeps.
+    #: itself — excluded from :func:`metrics_digest` like the
+    #: termination fields above, and journaled digest-free by sweeps.
     obs: Optional[Dict[str, object]] = None
     #: Which determinism contract produced these numbers. ``parity-v1``
     #: engines (object, vector) are byte-identical to each other;
@@ -436,6 +440,61 @@ class MetricsCollector:
         self.metrics.rounds_run = rounds_run
         self.metrics.faults = self.faults
         return self.metrics
+
+
+def run_termination(config: "SimulationConfig", finished: bool,
+                    arrivals_left: bool, reports_queued: bool,
+                    members: Iterable[Tuple[bool, bool, bool, bool]],
+                    send_possible: Callable[[], bool]) -> Tuple[str, int]:
+    """The exact end-of-run verdict: ``(termination, n_stuck)``.
+
+    ``finished`` is the engine's own finish test (every compliant user
+    arrived and completed or left); it makes the run ``"complete"``,
+    even when it held on the capped round itself. ``members`` yields
+    ``(is_seeder, is_freerider, complete, has_pending)`` for every
+    peer still in the swarm; ``n_stuck`` counts the incomplete
+    compliant ones.
+
+    An unfinished run is ``"stalled"`` when nothing more can happen:
+
+    1. no send is possible: ``send_possible()`` is the engine's scan
+       over view edges from every non-free-rider member (seeders,
+       offline ones too) to every incomplete non-seeder neighbour,
+       for a piece the sender holds usable or pending that the
+       receiver holds neither way (T-Chain forwards encrypted pieces);
+    2. nothing scheduled can change that: no arrival is left, no
+       delayed reputation report is queued, no key expiry can drop a
+       pending piece, no free-rider is left to whitewash, no churn or
+       crash hazard can remove a stuck peer (and the keys it holds),
+       and no lingering seed is left to depart (dropping the keys it
+       holds).
+
+    Any other unfinished run is ``"cap"``: the round cap cut it off
+    while something could still happen. The scan runs only when every
+    scheduled change is ruled out, once per run.
+    """
+    n_stuck = 0
+    pending = freeriders = lingering = False
+    for seeder, freerider, complete, has_pending in members:
+        if seeder:
+            continue
+        pending = pending or has_pending
+        if freerider:
+            freeriders = True
+        elif not complete:
+            n_stuck += 1
+        lingering = lingering or complete
+    if finished:
+        return "complete", n_stuck
+    faults = config.faults
+    if (arrivals_left or reports_queued
+            or (pending and faults.obligation_expiry_rounds is not None)
+            or (freeriders and config.attack.whitewash_interval is not None)
+            or (n_stuck and (config.abort_rate > 0.0
+                             or faults.crash_hazard > 0.0))
+            or lingering or send_possible()):
+        return "cap", n_stuck
+    return "stalled", n_stuck
 
 
 def metrics_digest(metrics: SimulationMetrics) -> str:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from repro.errors import InvariantViolationError, SimulationStalled
+from repro.errors import InvariantViolationError
 from repro.names import Algorithm
 from repro.obs.runtime import ObsRuntime
 from repro.sim.arrivals import flash_crowd_arrivals, poisson_arrivals
@@ -32,7 +32,8 @@ from repro.sim.context import StrategyContext
 from repro.sim.engine import EventEngine
 from repro.sim.faults import FaultModel
 from repro.sim.metrics import (MetricsCollector, PeerSummary,
-                               SimulationMetrics, TransferRecord)
+                               SimulationMetrics, TransferRecord,
+                               run_termination)
 from repro.sim.peer import Obligation, Peer, PendingPiece
 from repro.sim.pieces import bits_to_list, rarest_first
 from repro.sim.rng import RandomStreams
@@ -101,7 +102,7 @@ class Simulation:
         #: (receiver lineage, piece) pairs whose delivery was lost —
         #: cleared (and counted as a retry) when a later send lands.
         self._lost_deliveries: Set[Tuple[int, int]] = set()
-        #: Invariant guards / watchdog / forensics. Observation-only:
+        #: Invariant guards and crash forensics. Observation-only:
         #: consumes no randomness and mutates nothing the simulation
         #: reads, so guarded runs are digest-identical to unguarded.
         self._guards: Optional[GuardRuntime] = (
@@ -246,10 +247,6 @@ class Simulation:
     def _on_arrival(self, peer: Peer) -> None:
         self.swarm.add_peer(peer)
         self._arrived += 1
-        if self._guards is not None:
-            # Arrivals count as progress: a slow Poisson trickle must
-            # not be misread as a livelock by the watchdog.
-            self._guards.note_progress(self.round_index)
 
     def _on_round(self) -> None:
         if self._finished:
@@ -608,8 +605,6 @@ class Simulation:
             peer.completion_time = self.engine.now
             if self._obs is not None:
                 self._obs.note_completion(self, peer)
-        if self._guards is not None:
-            self._guards.note_progress(self.round_index)
 
     # ------------------------------------------------------------------
     # T-Chain mechanics
@@ -920,17 +915,20 @@ class Simulation:
         uploads = sum(p.total_uploaded for p in self._all_peers)
         return uploads + sum(s.total_uploaded for s in self._seeders)
 
-    def finalize_degraded(self) -> None:
-        """Watchdog degrade path: end the run now with partial metrics.
-
-        Called by :class:`~repro.sim.guards.GuardRuntime` when the
-        progress watchdog trips under ``watchdog_action="degrade"``.
-        The run terminates exactly as a natural finish would; the
-        guards stamp ``degraded=True`` onto the metrics afterwards.
-        """
-        self._finished = True
-        self._round_handle.cancel()
-        self.engine.stop()
+    def _send_possible(self) -> bool:
+        """Could any member still send anything (see run_termination)?"""
+        peers = self.swarm.peers
+        for sender in peers.values():
+            if sender.is_freerider:
+                continue
+            have = sender.pieces.mask | sender.pending_mask
+            for pid in self.swarm.neighbors(sender.peer_id):
+                target = peers[pid]
+                if (not target.is_seeder and not target.complete
+                        and have & ~(target.pieces.mask
+                                     | target.pending_mask)):
+                    return True
+        return False
 
     def run(self) -> SimulationResult:
         """Execute the run to completion and return its results."""
@@ -938,7 +936,7 @@ class Simulation:
         try:
             self.engine.run_until(self.config.max_rounds + 2,
                                   max_events=50_000_000)
-        except (InvariantViolationError, SimulationStalled):
+        except InvariantViolationError:
             raise  # guards already wrote their bundle
         except Exception as exc:
             if self._guards is not None:
@@ -956,8 +954,12 @@ class Simulation:
             raise
         metrics = self.collector.finalize(self._summaries(), self.round_index,
                                           self.total_received_raw())
-        if self._guards is not None:
-            self._guards.stamp_metrics(metrics)
+        metrics.termination, metrics.n_stuck = run_termination(
+            self.config, self._all_departed(),
+            self._arrived < self.config.n_users, bool(self._delayed_reports),
+            ((p.is_seeder, p.is_freerider, p.complete, bool(p.pending))
+             for p in self.swarm.peers.values()),
+            self._send_possible)
         if self._obs is not None:
             metrics.obs = self._obs.finalize()
         return SimulationResult(config=self.config, metrics=metrics)

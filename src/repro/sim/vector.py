@@ -78,7 +78,7 @@ from repro.sim.arrivals import flash_crowd_arrivals, poisson_arrivals
 from repro.sim.bandwidth import UploadBudget
 from repro.sim.config import SimulationConfig
 from repro.sim.faults import FaultModel
-from repro.sim.metrics import MetricsCollector, PeerSummary
+from repro.sim.metrics import MetricsCollector, PeerSummary, run_termination
 from repro.sim.pieces import AvailabilityMap, bits_to_list, iter_bits
 from repro.sim.rng import RandomStreams
 
@@ -1421,7 +1421,30 @@ class VectorSimulation:
         metrics = self.collector.finalize(self._summaries(),
                                           self.round_index, raw)
         metrics.digest_lineage = self.digest_lineage
+        n = self.n_pieces
+        metrics.termination, metrics.n_stuck = run_termination(
+            self.config, self._all_done(),
+            self._arrived < self.config.n_users, bool(self._delayed_reports),
+            ((self.seeder[s], self.free[s], self.cnt[s] == n,
+              bool(self.pend[s])) for s in self.members.values()),
+            self._send_possible)
         return SimulationResult(config=self.config, metrics=metrics)
+
+    def _send_possible(self) -> bool:
+        """Could any member still send anything (see run_termination)?"""
+        members = self.members
+        held = self.held
+        seeder = self.seeder
+        cnt = self.cnt
+        n = self.n_pieces
+        for pid, s in members.items():
+            if self.free[s]:
+                continue
+            have = held[s]
+            for t in map(members.__getitem__, self.vset.get(pid, ())):
+                if not seeder[t] and cnt[t] != n and have & ~held[t]:
+                    return True
+        return False
 
 
 #: Draws refilled per batch by :class:`_FastSampler`. Big enough to

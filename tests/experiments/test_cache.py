@@ -16,7 +16,8 @@ FINGERPRINT = "SimulationConfig(algorithm=x, n_users=60)"
 def _outcome(seed=7, value=1.25):
     return {"seed": seed, "used_seed": seed, "attempts": 1,
             "status": "ok", "error": None,
-            "values": {"value": value}, "degraded": False}
+            "values": {"value": value}, "termination": "complete",
+            "n_stuck": 0}
 
 
 class TestRoundtrip:

@@ -26,4 +26,6 @@ class TestFullReport:
         text = full_report(smoke_scale(seed=4), include_figures=True)
         for name in ("Figure 4", "Figure 5", "Figure 6"):
             assert name in text
-        assert "engine: vector (parity-v1), 18 runs\n" in text
+        # Reciprocity cannot finish at smoke scale, once per figure.
+        assert ("engine: vector (parity-v1), 18 runs: 15 complete, 3 cap\n"
+                in text)

@@ -157,10 +157,14 @@ class TestRetryReseedPinned:
     recorded justification.
     """
 
-    CANONICAL = ("6c7049700c2c48802955ff0e91f918a3"
-                 "d1474e9de5eb97814c89e0ec8181c899")
-    JOURNAL = ("81cf7f69f8bd953a6b1e74aea274a216"
-               "59aa60581f53fe965bbb2aa64c9ac3c9")
+    #: Re-pinned once when outcomes replaced ``degraded`` with
+    #: ``termination``/``n_stuck`` and the guard config lost its two
+    #: stall-window fields (the config fingerprint, and so every
+    #: derived retry seed, moved with them).
+    CANONICAL = ("dbfb5ddd7495aebc7554112b3c149a7e"
+                 "ea7251ee6c31e0551e72ab0d08906fcd")
+    JOURNAL = ("b188c145c7fb539c14ecc7a893382fc5"
+               "75808fe288b21955bf554d07dcb2f26a")
 
     def test_retried_sweep_digests_pinned(self, tmp_path):
         path = str(tmp_path / "retried.jsonl")
@@ -427,47 +431,90 @@ class TestOutcome:
         assert sweep.outcomes[0].digest_lineage == "parity-v1"
 
 
-class TestDegradedRuns:
-    """Watchdog-degraded replicates flow through the sweep machinery."""
+class TestTermination:
+    """Each replicate says how its run ended: in its outcome, the
+    journal, the result cache and the canonical digest."""
 
     @staticmethod
-    def _starved_config(tmp_path):
+    def _starved_config():
+        # The seeder is offline for the whole run but would come back:
+        # every replicate ends at the cap with every user stuck.
         from repro.sim import FaultConfig
 
-        config = smoke_scale(Algorithm.RECIPROCITY).with_faults(FaultConfig(
+        return smoke_scale(Algorithm.RECIPROCITY).with_faults(FaultConfig(
             seeder_outage_rate=0.95, seeder_outage_duration=500))
-        return config.with_backend("object").with_guards(
-            "cheap", watchdog_window=8, bundle_dir=str(tmp_path))
 
-    def test_degraded_replicates_surface_in_outcomes(self, tmp_path):
-        result = run_resilient_sweep(self._starved_config(tmp_path),
-                                     seeds=(0, 1), jobs=1)
+    def test_termination_surfaces_in_outcomes(self):
+        config = self._starved_config()
+        result = run_resilient_sweep(config, seeds=(0, 1), jobs=1)
         assert result.n_failed == 0
-        assert result.n_degraded == 2
         for outcome in result.outcomes:
-            assert outcome.ok and outcome.degraded
-            assert outcome.bundle_path is not None
-            assert os.path.exists(outcome.bundle_path)
+            assert outcome.ok
+            assert (outcome.termination, outcome.n_stuck) == \
+                ("cap", config.n_users)
+            canonical = outcome.canonical_dict()
+            assert canonical["termination"] == "cap"
+            assert canonical["n_stuck"] == config.n_users
+            assert "degraded" not in canonical
 
-    def test_degraded_flag_journals_and_resumes(self, tmp_path):
+    def test_termination_journals_and_resumes(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
-        config = self._starved_config(tmp_path)
+        config = self._starved_config()
         first = run_resilient_sweep(config, seeds=(0, 1), jobs=1,
                                     journal_path=str(journal))
         records = [json.loads(line)
                    for line in journal.read_text().splitlines()]
-        records = [r for r in records if "seed" in r]  # skip the header
-        assert len(records) == 2
-        assert all(r["degraded"] for r in records)
-        assert all(r.get("bundle_path") for r in records)
+        records = [r for r in records if r.get("kind") == "replicate"]
+        assert [(r["termination"], r["n_stuck"]) for r in records] == \
+            [("cap", config.n_users)] * 2
 
         resumed = run_resilient_sweep(config, seeds=(0, 1), jobs=1,
                                       journal_path=str(journal))
         assert resumed.resumed == 2
-        assert resumed.n_degraded == 2
-        assert journal_digest(str(journal)) == journal_digest(str(journal))
-        assert [o.bundle_path for o in resumed.outcomes] == \
-            [o.bundle_path for o in first.outcomes]
+        assert resumed.canonical_digest() == first.canonical_digest()
+
+    def test_journal_record_without_termination_is_rerun(self, tmp_path):
+        # A record written before runs said how they ended (it carried
+        # ``degraded`` instead) is re-run, not resumed.
+        path = str(tmp_path / "sweep.jsonl")
+        first = run_resilient_sweep(_config(), SEEDS, VALUE,
+                                    task=task_identity, journal_path=path)
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+        record = json.loads(lines[1])
+        del record["termination"], record["n_stuck"]
+        record["degraded"] = False
+        lines[1] = json.dumps(record)
+        with open(path, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+        resumed = run_resilient_sweep(_config(), SEEDS, VALUE,
+                                      task=task_identity, journal_path=path)
+        assert resumed.resumed == len(SEEDS) - 1
+        assert resumed.canonical_digest() == first.canonical_digest()
+
+    def test_cache_entry_of_the_old_version_is_a_miss(self, tmp_path):
+        from repro.experiments import cache as cache_module
+        from repro.experiments.replicates import _config_fingerprint
+
+        cache_dir = str(tmp_path / "cache")
+        fingerprint = _config_fingerprint(_config())
+        path = cache_module.ResultCache(cache_dir).path_for(fingerprint, 1)
+        os.makedirs(os.path.dirname(path))
+        entry = {"version": 1, "fingerprint": fingerprint, "seed": 1,
+                 "outcome": {"seed": 1, "used_seed": 1, "attempts": 1,
+                             "status": "ok", "error": None,
+                             "values": {"value": 1.0}, "degraded": False,
+                             "digest_lineage": "parity-v1"}}
+        entry["checksum"] = cache_module._checksum(entry)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(entry, handle)
+        sweep = run_resilient_sweep(_config(), (1,), VALUE,
+                                    task=task_identity, cache_dir=cache_dir)
+        assert sweep.cached == 0
+        assert sweep.telemetry["cache"]["stores"] == 1
+        assert sweep.outcomes[0].canonical_dict()["termination"] is None
+        with open(path, encoding="utf-8") as handle:
+            assert json.load(handle)["version"] == cache_module._CACHE_VERSION
 
 
 class TestObsTelemetryChannel:

@@ -102,6 +102,10 @@ def _assert_backends_agree(config: SimulationConfig) -> None:
             == vector_result.metrics.faults), config
     assert (metrics_digest(object_result.metrics)
             == metrics_digest(vector_result.metrics)), config
+    assert (object_result.metrics.termination,
+            object_result.metrics.n_stuck) == \
+        (vector_result.metrics.termination,
+         vector_result.metrics.n_stuck), config
 
 
 class TestRandomizedDigestParity:

@@ -120,18 +120,57 @@ class TestVectorBackendParity:
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS,
                              ids=[a.value for a in ALL_ALGORITHMS])
     def test_vector_backend_matches_pinned_digest(self, algorithm):
-        config = equivalence_config(algorithm).with_backend("vector")
-        metrics = run_simulation(config).metrics
+        config = equivalence_config(algorithm)
+        metrics = run_simulation(config.with_backend("vector")).metrics
         assert metrics_digest(metrics) == PINNED_DIGESTS[algorithm]
+        assert_same_ending(run_simulation(config).metrics, metrics)
 
     def test_propshare_backends_agree(self):
         # Propshare has no pinned digest (it is the seventh, extension
         # algorithm), so compare the two engines against each other.
         config = equivalence_config(Algorithm.PROPSHARE)
-        object_digest = metrics_digest(run_simulation(config).metrics)
-        vector_digest = metrics_digest(
-            run_simulation(config.with_backend("vector")).metrics)
-        assert object_digest == vector_digest
+        object_metrics = run_simulation(config).metrics
+        vector_metrics = run_simulation(config.with_backend("vector")).metrics
+        assert metrics_digest(object_metrics) == metrics_digest(vector_metrics)
+        assert_same_ending(object_metrics, vector_metrics)
+
+
+def assert_same_ending(object_metrics, vector_metrics) -> None:
+    """Termination and stuck peers lie outside the digest, so parity
+    compares them on their own."""
+    assert (object_metrics.termination, object_metrics.n_stuck) == \
+        (vector_metrics.termination, vector_metrics.n_stuck)
+
+
+def tchain_endgame_config(seed: int) -> SimulationConfig:
+    """ROADMAP item 1's T-Chain end-game at 1000 users and 64 pieces."""
+    return SimulationConfig(
+        algorithm=Algorithm.TCHAIN, n_users=1000, n_pieces=64,
+        neighbor_count=40, seeder_capacity=32, flash_crowd_duration=10,
+        max_rounds=600, seed=seed)
+
+
+class TestTerminationPins:
+    """How the T-Chain end-game runs end, pinned per engine.
+
+    Seeds 0 and 3 deadlock: stuck peers each hold the other's piece
+    encrypted, with nobody else in view who could take a forward, so
+    they run to the cap with nothing left that can happen. Seed 1
+    completes.
+    """
+
+    ENDINGS = {0: ("stalled", 2), 1: ("complete", 0), 3: ("stalled", 4)}
+
+    @pytest.mark.parametrize("backend", ["vector", "object"])
+    @pytest.mark.parametrize("seed", sorted(ENDINGS))
+    def test_tchain_endgame(self, seed, backend):
+        config = tchain_endgame_config(seed).with_backend(backend)
+        metrics = run_simulation(config).metrics
+        assert (metrics.termination, metrics.n_stuck) == self.ENDINGS[seed]
+
+    def test_fast_tchain_stall_pin(self):
+        metrics = run_simulation(fast_pin_config("tchain-stall")).metrics
+        assert (metrics.termination, metrics.n_stuck) == ("stalled", 2)
 
 
 class TestFigureBackendParity:
@@ -166,6 +205,7 @@ class TestFigureBackendParity:
             assert (metrics_digest(result.metrics)
                     == metrics_digest(on_object[algorithm].metrics)), \
                 algorithm.value
+            assert_same_ending(on_object[algorithm].metrics, result.metrics)
 
 
 #: One entry per fault axis (individually), plus all five at once.
@@ -224,6 +264,7 @@ class TestFaultAxisParity:
                 == metrics_digest(vector_result.metrics))
         assert (object_result.metrics.faults
                 == vector_result.metrics.faults)
+        assert_same_ending(object_result.metrics, vector_result.metrics)
 
 
 class TestGuardsPreserveDigests:
@@ -234,9 +275,8 @@ class TestGuardsPreserveDigests:
                              ids=[a.value for a in ALL_ALGORITHMS])
     def test_full_guards_keep_pinned_digest(self, algorithm, tmp_path):
         config = equivalence_config(algorithm).with_guards(
-            "full", watchdog_window=400, bundle_dir=str(tmp_path))
+            "full", bundle_dir=str(tmp_path))
         metrics = run_simulation(config).metrics
-        assert not metrics.degraded
         assert metrics_digest(metrics) == PINNED_DIGESTS[algorithm]
 
 
@@ -258,7 +298,7 @@ class TestObsPreservesDigests:
 
     def test_obs_and_full_guards_together_keep_digest(self, tmp_path):
         config = equivalence_config(Algorithm.TCHAIN).with_guards(
-            "full", watchdog_window=400, bundle_dir=str(tmp_path)
+            "full", bundle_dir=str(tmp_path)
         ).with_obs(trace=True, sample_every=1, profile=True)
         metrics = run_simulation(config).metrics
         assert metrics_digest(metrics) == PINNED_DIGESTS[Algorithm.TCHAIN]

@@ -173,7 +173,7 @@ class TestConfigRoundTrip:
             Algorithm.TCHAIN, n_users=50, n_pieces=16, seed=11,
             freerider_fraction=0.2,
             attack=targeted_attack_for(Algorithm.TCHAIN),
-        ).with_guards("cheap", watchdog_window=30)
+        ).with_guards("cheap", check_interval=30)
         rebuilt = SimulationConfig.from_dict(config.to_dict())
         assert rebuilt == config
 

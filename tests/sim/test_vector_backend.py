@@ -166,10 +166,12 @@ def large_view_config(algorithm: Algorithm,
 
 
 def _parity(config: SimulationConfig) -> None:
-    object_digest = metrics_digest(run_simulation(config).metrics)
-    vector_digest = metrics_digest(
-        VectorSimulation(config.with_backend("vector")).run().metrics)
-    assert object_digest == vector_digest
+    object_metrics = run_simulation(config).metrics
+    vector_metrics = VectorSimulation(
+        config.with_backend("vector")).run().metrics
+    assert metrics_digest(object_metrics) == metrics_digest(vector_metrics)
+    assert (object_metrics.termination, object_metrics.n_stuck) == \
+        (vector_metrics.termination, vector_metrics.n_stuck)
 
 
 class TestFeatureAxisParity:

@@ -101,8 +101,11 @@ def test_vector_matches_object_engine(algorithm):
     the join stamps for the parity lineage to keep the object
     engine's digest."""
     config = churny_config(algorithm)
-    assert metrics_digest(VectorSimulation(config).run().metrics) == \
-        metrics_digest(run_simulation(config).metrics)
+    vector = VectorSimulation(config).run().metrics
+    reference = run_simulation(config).metrics
+    assert metrics_digest(vector) == metrics_digest(reference)
+    assert (vector.termination, vector.n_stuck) == \
+        (reference.termination, reference.n_stuck)
 
 
 ratios = st.one_of(
