@@ -11,7 +11,9 @@ recorded:
 * **bootstrap waits** stretching while the crowd outruns the seeder;
 * **free-rider intake** pinned near zero as T-Chain's indirect
   reciprocity locks the free-riders out;
-* the **self-profile**: where the simulator's own wall-clock went.
+* the **self-profile**: where the simulator's own wall-clock went,
+  ranked by each span's self time (round loop, each strategy kind,
+  each round phase, metric and gauge sampling).
 
 Because the layer is observation-only, this instrumented run produces
 the byte-identical metrics digest of the same seed uninstrumented
@@ -81,9 +83,9 @@ def main() -> None:
     m = result.metrics
     print(f"\ncompliant completions: {m.completion_fraction():.0%}; "
           f"final fairness {m.final_fairness():.3f}")
-    assert obs.profiler is not None
+    assert obs.spans is not None
     print()
-    print(obs.profiler.table())
+    print(obs.spans.table())
 
     # --- Export for Perfetto.
     with open(TRACE_PATH, "w", encoding="utf-8") as handle:

@@ -30,7 +30,7 @@ Commands
     process per seed).
 ``trace``
     Run one fully-instrumented simulation (tracer + samplers +
-    profiler all on) and print its self-profile table, sparkline
+    spans all on) and print its self-profile table, sparkline
     dashboard, and trace-ring statistics; ``--trace-out`` writes the
     Chrome ``trace_event`` JSON, loadable in Perfetto.
 ``report``
@@ -80,7 +80,8 @@ from repro.names import EXTENDED_ALGORITHMS, Algorithm
 from repro.obs import (SeriesStore, sweep_series_to_chrome_trace,
                        to_chrome_trace, to_jsonl)
 from repro.sim import (FaultConfig, Simulation, SimulationConfig,
-                       run_simulation, targeted_attack_for)
+                       targeted_attack_for)
+from repro.sim.runner import build_engine
 
 __all__ = ["main", "build_parser"]
 
@@ -308,8 +309,9 @@ def _add_obs_arguments(parser: argparse.ArgumentParser,
                        help="sample the per-round gauge catalogue every "
                             "N rounds (0 disables)")
     group.add_argument("--profile", action="store_true",
-                       help="aggregate wall-clock spans around engine "
-                            "dispatch, strategy decisions, and guard passes")
+                       help="time round phases, kernels or strategies and "
+                            "guard passes (the one obs flag every backend "
+                            "accepts)")
     group.add_argument("--sample-rate", action="append", default=None,
                        metavar="CAT=N",
                        help="keep 1 in N traced events of category CAT "
@@ -411,18 +413,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config = config.with_population(
             args.population, n_subswarms=args.subswarms,
             coupling_interval=args.coupling_interval)
-    sim: Optional[Simulation] = None
+    sim = None
     try:
         if config.population is not None:
             from repro.sim.hybrid import run_hybrid_simulation
             result = run_hybrid_simulation(config, jobs=args.jobs)
-        elif config.obs.enabled:
-            # Hold the Simulation instance so the observability runtime
-            # is still reachable for export afterwards.
-            sim = Simulation(config)
-            result = sim.run()
         else:
-            result = run_simulation(config)
+            # Hold the engine so the observability runtime is still
+            # reachable for export afterwards.
+            sim = build_engine(config)
+            result = sim.run()
     except InvariantViolationError as exc:
         print(f"run: invariant violation: {exc}", file=sys.stderr)
         if exc.bundle_path:
@@ -458,13 +458,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"  {'population_completed':24s} "
                   f"{metrics.population_completed():.0f}")
             print(f"  {'fluid_residual':24s} {metrics.fluid_residual:.4f}")
+        elif sim.obs is not None and sim.obs.spans is not None:
+            print()
+            print(sim.obs.spans.table())
     if sim is not None:
         _export_run_trace(sim, args.trace_out,
                           label=f"repro run {algorithm.value}", prefix="run")
-    elif args.trace_out and config.population is not None:
-        print("run: note: --trace-out has no per-event trace in hybrid "
-              "mode; coupling-boundary series are exported in --json "
-              "output (metrics.obs.series)", file=sys.stderr)
     return 0
 
 
@@ -611,7 +610,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"{algorithm.display_name}: {args.users} users, "
           f"{args.pieces} pieces, seed {args.seed} — fully instrumented")
     print()
-    print(obs.profiler.table())
+    print(obs.spans.table())
     if obs.series is not None and obs.series.names():
         print()
         print(obs.series.dashboard())

@@ -94,11 +94,13 @@ def samples_table(metrics: SimulationMetrics) -> List[Dict[str, Any]]:
 
 def result_to_json(result: SimulationResult, include_series: bool = True,
                    indent: int = 2) -> str:
-    """Serialise one run — summary plus (optionally) full tables."""
+    """Serialise one run: summary, optional tables, ``metrics.obs``."""
     payload: Dict[str, Any] = {"summary": summary_dict(result)}
     if include_series:
         payload["peers"] = peers_table(result.metrics)
         payload["samples"] = samples_table(result.metrics)
+    if result.metrics.obs is not None:
+        payload["obs"] = result.metrics.obs
     return json.dumps(payload, indent=indent)
 
 

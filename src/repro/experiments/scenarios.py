@@ -20,11 +20,12 @@ produces the same ``metrics_digest`` (the parity-v1 lineage), so
 Figures 4-6 and the report come out byte-identical, only faster.
 ``SimulationConfig`` itself still defaults to ``"object"``.
 
-The array engines do not run guards, the obs runtime or
-``record_transfers``, so ``SimulationConfig`` refuses any of them with
-a ``ConfigurationError`` unless ``backend="object"``. To instrument a
-preset, switch its engine first:
+The array engines do not run guards, event tracing, gauge sampling
+or ``record_transfers``, so ``SimulationConfig`` refuses any of them
+with a ``ConfigurationError`` unless ``backend="object"``. To
+instrument a preset that way, switch its engine first:
 ``default_scale(algo).with_backend("object").with_guards("cheap")``.
+Span profiling alone (``obs.profile``) runs on every engine.
 """
 
 from __future__ import annotations

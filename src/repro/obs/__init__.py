@@ -13,8 +13,8 @@ is byte-identical, digest-wise, to the same seed without):
   (progress percentiles, availability entropy, queue depth, ...) in a
   compact columnar store with CSV/JSONL export and an ASCII sparkline
   dashboard;
-* :class:`~repro.obs.profiler.SpanProfiler` — aggregate wall-clock
-  spans around engine dispatch, strategy decisions, and guard passes.
+* :class:`~repro.obs.spans.SpanTracer` — aggregate wall-clock spans
+  wrapped around one engine instance from outside, on every engine.
 
 Exporters (:mod:`repro.obs.exporters`) render traces as Chrome
 ``trace_event`` JSON (loads in Perfetto) or JSONL. The full catalogue
@@ -25,9 +25,9 @@ simulation is :class:`~repro.obs.runtime.ObsRuntime`.
 from repro.obs.config import ObsConfig, TRACE_CATEGORIES
 from repro.obs.exporters import (sweep_series_to_chrome_trace,
                                  to_chrome_trace, to_jsonl)
-from repro.obs.profiler import SpanProfiler
 from repro.obs.runtime import ObsRuntime
 from repro.obs.samplers import SeriesStore, entropy, percentile
+from repro.obs.spans import SpanTracer
 from repro.obs.tracer import EventTracer, TraceEvent
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
     "EventTracer",
     "TraceEvent",
     "SeriesStore",
-    "SpanProfiler",
+    "SpanTracer",
     "ObsRuntime",
     "percentile",
     "entropy",

@@ -5,7 +5,7 @@
 describes what a run records about itself: whether the bounded
 event tracer is on (and how it samples each category), how often the
 per-round time-series samplers fire, and whether the wall-clock span
-profiler is active. Everything defaults to *off* — the paper's bare
+tracer is active. Everything defaults to *off* — the paper's bare
 simulator records nothing about itself and pays nothing.
 
 Like :class:`~repro.sim.guards.GuardConfig`, the whole subsystem is
@@ -64,9 +64,10 @@ class ObsConfig:
         Rounds between time-series sampler rows
         (:mod:`repro.obs.samplers`); ``0`` disables the samplers.
     profile:
-        Enable the wall-clock span profiler
-        (:class:`~repro.obs.profiler.SpanProfiler`) around engine
-        dispatch, algorithm decisions, and guard passes.
+        Enable the wall-clock span tracer
+        (:class:`~repro.obs.spans.SpanTracer`) around the engine's round
+        phases, kernels or strategies, and guard passes. The only obs
+        setting the array engines accept.
     """
 
     trace: bool = False

@@ -1,17 +1,18 @@
-"""Per-run observability state: the hooks the runner actually calls.
+"""Per-run observability state: the hooks the engines actually call.
 
-One :class:`ObsRuntime` is owned by a
-:class:`~repro.sim.runner.Simulation` whose config enables any
-observability (mirroring how :class:`~repro.sim.guards.GuardRuntime`
-is owned). It bundles the three instruments —
-:class:`~repro.obs.tracer.EventTracer`,
+One :class:`ObsRuntime` is owned by a simulation whose config enables
+any observability (mirroring how
+:class:`~repro.sim.guards.GuardRuntime` is owned). It bundles the
+three instruments — :class:`~repro.obs.tracer.EventTracer`,
 :class:`~repro.obs.samplers.SeriesStore`,
-:class:`~repro.obs.profiler.SpanProfiler` — behind cheap ``note_*``
-hooks, runs the per-round gauge sampling, and at the end of the run
-compacts everything into a telemetry payload
-(:meth:`finalize`) that the runner stamps onto
-``metrics.obs`` — journaled by sweeps but excluded from metric
-digests, exactly like guard degradation info.
+:class:`~repro.obs.spans.SpanTracer` — behind cheap ``note_*`` hooks,
+runs the per-round gauge sampling, and at the end of the run compacts
+everything into a telemetry payload (:meth:`finalize`) that the engine
+stamps onto ``metrics.obs``: journaled by sweeps, but excluded from
+metric digests.
+
+The span tracer is installed on any engine from outside
+(:meth:`attach`) and taken off again by :meth:`finalize`.
 
 Every method here is **observation-only**: no randomness is consumed
 and nothing the simulation reads is mutated. The gauges are computed
@@ -22,11 +23,11 @@ variant, so not even an internal cache is touched).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.obs.config import ObsConfig
-from repro.obs.profiler import SpanProfiler
 from repro.obs.samplers import SeriesStore, entropy, percentile
+from repro.obs.spans import SpanTracer
 from repro.obs.tracer import EventTracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -37,7 +38,7 @@ __all__ = ["ObsRuntime"]
 
 
 class ObsRuntime:
-    """Tracer + samplers + profiler for one simulation run."""
+    """Event tracer + samplers + span tracer for one simulation run."""
 
     def __init__(self, config: ObsConfig) -> None:
         self.config = config
@@ -45,10 +46,16 @@ class ObsRuntime:
             EventTracer(config.trace_buffer,
                         dict(config.trace_sample_rates))
             if config.trace else None)
-        self.profiler: Optional[SpanProfiler] = (
-            SpanProfiler() if config.profile else None)
+        self.spans: Optional[SpanTracer] = (
+            SpanTracer() if config.profile else None)
         self.series: Optional[SeriesStore] = (
             SeriesStore() if config.sample_every > 0 else None)
+
+    def attach(self, sim: Any) -> None:
+        """Install the span wrappers on a fully built engine."""
+        if self.spans is not None:
+            self.spans.attach(sim)
+            self.spans.patch(self, "_sample", "obs.sample")
 
     # ------------------------------------------------------------------
     # Event hooks (called from the runner's transfer/report primitives)
@@ -132,11 +139,7 @@ class ObsRuntime:
         every = self.config.sample_every
         if every <= 0 or sim.round_index % every != 0:
             return
-        if self.profiler is not None:
-            with self.profiler.span("obs.sample"):
-                self._sample(sim)
-        else:
-            self._sample(sim)
+        self._sample(sim)
 
     def _sample(self, sim: "Simulation") -> None:
         swarm = sim.swarm
@@ -175,11 +178,10 @@ class ObsRuntime:
         if self.tracer is not None:
             row["trace_retained"] = float(len(self.tracer))
             row["trace_evicted"] = float(self.tracer.dropped)
-        if self.profiler is not None:
-            spans = self.profiler.spans()
-            guard = spans.get("guards.after_round")
-            if guard is not None:
-                row["guard_round_ms_mean"] = guard["mean"] * 1e3
+        guard = (self.spans.totals.get("guards.after_round")
+                 if self.spans is not None else None)
+        if guard is not None:
+            row["guard_round_ms_mean"] = guard[1] / guard[0] * 1e3
         self.series.append(sim.round_index, row)
 
     # ------------------------------------------------------------------
@@ -190,13 +192,15 @@ class ObsRuntime:
 
         Deliberately excludes the raw trace events: only counts travel
         across sweep worker pipes. Exporting events is an in-process
-        affair (``python -m repro trace``, ``run --trace-out``).
+        affair (``python -m repro trace``, ``run --trace-out``). Takes
+        the span wrappers off the engine and the cycle they form.
         """
         payload: Dict[str, object] = {}
         if self.series is not None:
             payload["series"] = self.series.to_compact()
-        if self.profiler is not None:
-            payload["profile"] = self.profiler.as_dict()
+        if self.spans is not None:
+            self.spans.restore()
+            payload["profile"] = self.spans.as_dict()
         if self.tracer is not None:
             payload["trace"] = self.tracer.summary()
         return payload

@@ -204,7 +204,7 @@ class SimulationConfig:
     #: baseline.
     guards: GuardConfig = field(default_factory=GuardConfig)
     #: Streaming observability: event tracer, per-round samplers, span
-    #: profiler (:mod:`repro.obs`). Off by default and observation-only
+    #: tracer (:mod:`repro.obs`). Off by default and observation-only
     #: like guards — an instrumented run is digest-identical to a bare
     #: one.
     obs: ObsConfig = field(default_factory=ObsConfig)
@@ -228,9 +228,10 @@ class SimulationConfig:
     #: for the byte-parity engines, and :func:`digest_lineage` is what
     #: keys the fast lineage apart (see
     #: ``repro.experiments.replicates._config_fingerprint``). Guards,
-    #: the obs runtime and ``record_transfers`` hook the object
-    #: engine's internals, so a config that turns one of them on must
-    #: use ``"object"``; any other backend is refused at construction.
+    #: event tracing, gauge sampling and ``record_transfers`` hook the
+    #: object engine's internals, so a config that turns one of them on
+    #: must use ``"object"``; any other backend is refused at
+    #: construction. Span profiling (``obs.profile``) runs everywhere.
     backend: str = field(repr=False, default="object")
     #: Fluid/event-driven hybrid mode (:mod:`repro.sim.hybrid`,
     #: docs/SCALING.md). ``None`` (default) runs the configured swarm
@@ -303,7 +304,8 @@ class SimulationConfig:
                 "backend must be 'object', 'vector', or 'vector-fast'")
         if self.backend != "object":
             for name, on in (("guards", self.guards.enabled),
-                             ("obs", self.obs.enabled),
+                             ("obs.trace", self.obs.trace),
+                             ("obs.sample_every", self.obs.sample_every),
                              ("record_transfers", self.record_transfers)):
                 if on:
                     raise ConfigurationError(
@@ -331,6 +333,10 @@ class SimulationConfig:
                 raise ConfigurationError(
                     "record_transfers is unsupported in hybrid mode "
                     "(per-transfer logs do not survive shard scaling)")
+            if self.obs.enabled:
+                raise ConfigurationError(
+                    "obs is unsupported in hybrid mode (shard payloads "
+                    "are not aggregated)")
         # Cross-field checks: combinations that are individually legal
         # but can only produce a meaningless (or never-ending) run.
         if (self.seeder_capacity == 0.0 and not self.allow_unseeded):

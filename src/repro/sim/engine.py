@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, List, Optional
 
 from repro.errors import SimulationError
@@ -95,13 +94,6 @@ class EventEngine:
         self._running = False
         self._live = 0  # queued, non-cancelled events (kept O(1))
         self.events_fired = 0
-        #: Optional dispatch profiler (duck-typed: anything with an
-        #: ``add(name, elapsed)`` method, in practice
-        #: :class:`repro.obs.profiler.SpanProfiler`). When set, every
-        #: fired event is timed under ``engine.<kind>``, where the kind
-        #: is the event name up to the first ``:`` (so ``arrival:17``
-        #: and ``arrival:23`` aggregate into one span).
-        self.profiler = None
 
     @property
     def now(self) -> float:
@@ -179,13 +171,7 @@ class EventEngine:
             event._on_cancel = None  # fired: a late cancel is a no-op
             self._now = event.time
             self.events_fired += 1
-            if self.profiler is None:
-                event.callback(self)
-            else:
-                start = perf_counter()
-                event.callback(self)
-                kind = event.name.partition(":")[0] or "anonymous"
-                self.profiler.add(f"engine.{kind}", perf_counter() - start)
+            event.callback(self)
             return True
         return False
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import InvariantViolationError
@@ -39,7 +38,8 @@ from repro.sim.pieces import bits_to_list, rarest_first
 from repro.sim.rng import RandomStreams
 from repro.sim.swarm import Swarm
 
-__all__ = ["Simulation", "SimulationResult", "run_simulation"]
+__all__ = ["Simulation", "SimulationResult", "build_engine",
+           "run_simulation"]
 
 
 @dataclass(frozen=True)
@@ -108,13 +108,13 @@ class Simulation:
         self._guards: Optional[GuardRuntime] = (
             GuardRuntime(config.guards) if config.guards.enabled else None)
         #: Streaming observability (:mod:`repro.obs`): tracer, samplers
-        #: and profiler. Observation-only, exactly like the guards.
+        #: and spans. Observation-only, exactly like the guards.
         self._obs: Optional[ObsRuntime] = (
             ObsRuntime(config.obs) if config.obs.enabled else None)
-        if self._obs is not None and self._obs.profiler is not None:
-            self.engine.profiler = self._obs.profiler
         self._install_topology()
         self._build_population()
+        if self._obs is not None:
+            self._obs.attach(self)
 
     @property
     def obs(self) -> Optional[ObsRuntime]:
@@ -254,7 +254,6 @@ class Simulation:
         self.round_index += 1
         self._flush_due_reports()
         self._process_seeder_outages()
-        profiler = self._obs.profiler if self._obs is not None else None
         active = [self.swarm.peers[pid] for pid in self.swarm.active_ids]
         self._order_rng.shuffle(active)
         for peer in active:
@@ -264,13 +263,7 @@ class Simulation:
                 continue  # transient outage: no credit, no sends
             peer.budget.new_round()
             strategy = self._strategies[peer.lineage_id]
-            ctx = StrategyContext(self, peer, strategy.rng)
-            if profiler is None:
-                strategy.on_round(ctx)
-            else:
-                start = perf_counter()
-                strategy.on_round(ctx)
-                profiler.add("algorithm.on_round", perf_counter() - start)
+            strategy.on_round(StrategyContext(self, peer, strategy.rng))
         for peer in list(self.swarm.peers.values()):
             peer.end_round()
         self._process_departures()
@@ -285,12 +278,7 @@ class Simulation:
             self._round_handle.cancel()
             self.engine.stop()
         if self._guards is not None:
-            if profiler is None:
-                self._guards.after_round(self)
-            else:
-                start = perf_counter()
-                self._guards.after_round(self)
-                profiler.add("guards.after_round", perf_counter() - start)
+            self._guards.after_round(self)
         if self._obs is not None:
             self._obs.after_round(self)
 
@@ -965,18 +953,24 @@ class Simulation:
         return SimulationResult(config=self.config, metrics=metrics)
 
 
-def run_simulation(config: SimulationConfig) -> SimulationResult:
-    """Build and run one simulation on the configured backend.
+def build_engine(config: SimulationConfig):
+    """The engine ``config.backend`` names, built but not yet run:
+    this object engine, the digest-identical struct-of-arrays
+    :class:`repro.sim.vector.VectorSimulation` (``"vector"``), or its
+    distributionally equivalent, ``fast-v1``-stamped subclass
+    :class:`repro.sim.vector.VectorFastSimulation` (``"vector-fast"``).
+    """
+    if config.backend in ("vector", "vector-fast"):
+        from repro.sim.vector import VectorFastSimulation, VectorSimulation
 
-    ``config.backend == "vector"`` selects the struct-of-arrays round
-    loop (:class:`repro.sim.vector.VectorSimulation`), which produces
-    byte-identical metrics digests to this object engine;
-    ``"vector-fast"`` selects its batched-sampling subclass
-    (:class:`repro.sim.vector.VectorFastSimulation`), which is only
-    *distributionally* equivalent and stamps
-    ``metrics.digest_lineage = "fast-v1"``. Guards, the obs runtime
-    and per-transfer recording run only here, on the object engine;
-    :class:`SimulationConfig` refuses them with any other backend.
+        engine = (VectorFastSimulation if config.backend == "vector-fast"
+                  else VectorSimulation)
+        return engine(config)
+    return Simulation(config)
+
+
+def run_simulation(config: SimulationConfig) -> SimulationResult:
+    """Build (:func:`build_engine`) and run one simulation.
 
     Configs with ``population`` set dispatch to the fluid/event-driven
     hybrid engine (:func:`repro.sim.hybrid.run_hybrid_simulation`,
@@ -988,10 +982,4 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         from repro.sim.hybrid import run_hybrid_simulation
 
         return run_hybrid_simulation(config)
-    if config.backend in ("vector", "vector-fast"):
-        from repro.sim.vector import VectorFastSimulation, VectorSimulation
-
-        engine = (VectorFastSimulation if config.backend == "vector-fast"
-                  else VectorSimulation)
-        return engine(config).run()
-    return Simulation(config).run()
+    return build_engine(config).run()

@@ -74,6 +74,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.names import Algorithm
+from repro.obs.runtime import ObsRuntime
 from repro.sim.arrivals import flash_crowd_arrivals, poisson_arrivals
 from repro.sim.bandwidth import UploadBudget
 from repro.sim.config import SimulationConfig
@@ -409,6 +410,10 @@ class VectorSimulation:
         #: engine's ``_peers_by_lineage`` (whitewashed peers keep their
         #: slot, so reports land on the *current* identity).
         self._lineage_slot = {self.lineage[s]: s for s in range(n_slots)}
+        #: Span profiling, the one obs setting the array engines accept.
+        self.obs = ObsRuntime(config.obs) if config.obs.enabled else None
+        if self.obs is not None:
+            self.obs.attach(self)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -1428,6 +1433,8 @@ class VectorSimulation:
             ((self.seeder[s], self.free[s], self.cnt[s] == n,
               bool(self.pend[s])) for s in self.members.values()),
             self._send_possible)
+        if self.obs is not None:
+            metrics.obs = self.obs.finalize()
         return SimulationResult(config=self.config, metrics=metrics)
 
     def _send_possible(self) -> bool:

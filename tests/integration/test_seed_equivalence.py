@@ -280,10 +280,17 @@ class TestGuardsPreserveDigests:
         assert metrics_digest(metrics) == PINNED_DIGESTS[algorithm]
 
 
+#: The one obs setting the array engines accept.
+PROFILE_ONLY = dict(trace=False, sample_every=0, profile=True)
+
+
 class TestObsPreservesDigests:
-    """The observability layer is observation-only: tracing at full
-    sampling, every-round gauge sampling, and span profiling all on
-    at once must leave every pinned digest byte-identical."""
+    """The observability layer is observation-only on every engine.
+    On the object engine, tracing at full sampling, every-round gauge
+    sampling, and span profiling all on at once must leave every
+    pinned digest byte-identical; on the array engines, which accept
+    span profiling only, profiling must leave the parity-v1 and
+    fast-v1 pins byte-identical."""
 
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS,
                              ids=[a.value for a in ALL_ALGORITHMS])
@@ -294,13 +301,36 @@ class TestObsPreservesDigests:
         # The payload rode along, but outside the digest.
         assert metrics.obs is not None
         assert set(metrics.obs) == {"series", "profile", "trace"}
+        assert f"strategy.{algorithm.value}" in metrics.obs["profile"]
         assert metrics_digest(metrics) == PINNED_DIGESTS[algorithm]
+
+    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS,
+                             ids=[a.value for a in ALL_ALGORITHMS])
+    def test_profiling_keeps_vector_pinned_digest(self, algorithm):
+        config = equivalence_config(algorithm).with_backend(
+            "vector").with_obs(**PROFILE_ONLY)
+        metrics = run_simulation(config).metrics
+        assert metrics.digest_lineage == "parity-v1"
+        assert set(metrics.obs) == {"profile"}
+        assert {"engine.round", f"kernel.{algorithm.value}",
+                "kernel.spray"} <= set(metrics.obs["profile"])
+        assert metrics_digest(metrics) == PINNED_DIGESTS[algorithm]
+
+    @pytest.mark.parametrize("name", list(FAST_PINNED_DIGESTS))
+    def test_profiling_keeps_fast_pinned_digest(self, name):
+        config = fast_pin_config(name).with_obs(**PROFILE_ONLY)
+        metrics = run_simulation(config).metrics
+        assert metrics.digest_lineage == "fast-v1"
+        assert {"engine.round", f"kernel.{config.algorithm.value}"} <= \
+            set(metrics.obs["profile"])
+        assert metrics_digest(metrics) == FAST_PINNED_DIGESTS[name]
 
     def test_obs_and_full_guards_together_keep_digest(self, tmp_path):
         config = equivalence_config(Algorithm.TCHAIN).with_guards(
             "full", bundle_dir=str(tmp_path)
         ).with_obs(trace=True, sample_every=1, profile=True)
         metrics = run_simulation(config).metrics
+        assert "guards.after_round" in metrics.obs["profile"]
         assert metrics_digest(metrics) == PINNED_DIGESTS[Algorithm.TCHAIN]
 
 

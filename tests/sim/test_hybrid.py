@@ -64,6 +64,16 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigurationError, match="record_transfers"):
             hybrid_config(record_transfers=True)
 
+    @pytest.mark.parametrize("backend", ["object", "vector-fast"])
+    def test_rejects_obs(self, backend):
+        """Shard obs payloads were silently dropped; now the config
+        that asks for them is refused, on any shard engine."""
+        plain = SimulationConfig(Algorithm.ALTRUISM, n_users=50,
+                                 n_pieces=8, backend=backend).with_obs(
+            trace=False, sample_every=0, profile=True)
+        with pytest.raises(ConfigurationError, match="obs"):
+            plain.with_population(200, n_subswarms=2)
+
     def test_lineage_property(self):
         assert hybrid_config().digest_lineage == "hybrid-v1"
         plain = hybrid_config().with_population(None)

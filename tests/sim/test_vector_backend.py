@@ -34,10 +34,12 @@ ALL_FAULTS = FaultConfig(
     report_delay_rounds=2, obligation_expiry_rounds=6)
 
 #: The instrumentation only the object engine runs, as config
-#: overrides keyed by the field name a refusal must report.
+#: overrides keyed by the field name a refusal must report. Span
+#: profiling (``obs.profile``) is absent: every engine runs it.
 INSTRUMENTATION = {
     "guards": dict(guards=GuardConfig(mode="cheap")),
     "obs": dict(obs=ObsConfig(trace=True)),
+    "obs.sample_every": dict(obs=ObsConfig(sample_every=1, profile=True)),
     "record_transfers": dict(record_transfers=True),
 }
 
@@ -87,8 +89,9 @@ class TestConfigPlumbing:
 
 class TestDispatchAndFallback:
     """``run_simulation`` dispatch, and the config rule that replaced
-    the object-engine fallback: instrumentation on an array backend is
-    refused when the config is built, never run on another engine."""
+    the object-engine fallback: object-only instrumentation on an array
+    backend is refused when the config is built, never run on another
+    engine. Span profiling alone runs on every engine."""
 
     def test_vector_backend_runs_vector_engine(self):
         config = small_config().with_backend("vector")
@@ -139,8 +142,14 @@ class TestDispatchAndFallback:
 
     def test_obs_config_reports_reason(self):
         for backend in ("vector", "vector-fast"):
-            with pytest.raises(ConfigurationError, match="obs"):
+            with pytest.raises(ConfigurationError, match="obs.trace"):
                 small_config(backend=backend).with_obs(trace=True)
+            with pytest.raises(ConfigurationError, match="obs.sample_every"):
+                small_config(backend=backend).with_obs(
+                    trace=False, sample_every=5, profile=True)
+            profiled = small_config(backend=backend).with_obs(
+                trace=False, sample_every=0, profile=True)
+            assert profiled.backend == backend
 
     def test_object_backend_never_warns(self):
         with warnings.catch_warnings():

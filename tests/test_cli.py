@@ -217,7 +217,7 @@ class TestCommands:
                      "--trace", "--journal", str(journal)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("sweep: obs is on")
+        assert err.startswith("sweep: obs.trace is on")
         assert len(err.strip().splitlines()) == 1
         assert not journal.exists()
 
@@ -340,6 +340,33 @@ class TestObservabilityCli:
         phases = {record["ph"] for record in records}
         assert {"M", "i", "C"} <= phases
 
+    def test_run_profiles_the_backend_it_names(self, capsys):
+        code = main(["run", "--algorithm", "tchain", "--users", "20",
+                     "--pieces", "8", "--max-rounds", "80",
+                     "--backend", "vector", "--profile", "--json", "-"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["summary"]["digest_lineage"] == "parity-v1"
+        spans = payload["obs"]["profile"]
+        assert {"engine.round", "kernel.tchain", "kernel.spray"} <= set(spans)
+        assert not any(name.startswith("strategy.") for name in spans)
+
+    def test_run_prints_the_span_table(self, capsys):
+        assert main(["run", "--algorithm", "tchain", "--users", "20",
+                     "--pieces", "8", "--max-rounds", "80",
+                     "--backend", "vector-fast", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "Self-profile (wall clock)" in out
+        assert "kernel.tchain" in out
+
+    def test_run_refuses_obs_in_hybrid_mode(self, capsys):
+        code = main(["run", "--algorithm", "tchain", "--users", "20",
+                     "--pieces", "8", "--backend", "vector-fast",
+                     "--population", "400", "--subswarms", "2",
+                     "--profile"])
+        assert code == 2
+        assert "obs" in capsys.readouterr().err
+
     def test_trace_command_renders_profile_and_trace(self, tmp_path,
                                                      capsys):
         out = tmp_path / "trace.json"
@@ -350,6 +377,7 @@ class TestObservabilityCli:
         stdout = capsys.readouterr().out
         assert "Self-profile (wall clock)" in stdout
         assert "engine.round" in stdout
+        assert "strategy.tchain" in stdout
         assert "trace ring:" in stdout
         assert "progress_p50" in stdout  # sparkline dashboard
         records = json.loads(out.read_text())
