@@ -28,52 +28,33 @@ Modules
     BitTorrent-efficiency arguments (refs [10], [27]).
 """
 
-from repro.core import (  # noqa: F401
-    bootstrapping,
-    classification,
-    equilibrium,
-    fluid,
-    freeriding,
-    metrics,
-    piece_availability,
-    reputation_model,
-    tradeoff,
-)
-from repro.core.bootstrapping import (  # noqa: F401
-    BootstrapParameters,
-    bootstrap_probability,
-    expected_bootstrap_time,
-    table2,
-)
-from repro.core.equilibrium import (  # noqa: F401
-    EquilibriumParameters,
-    EquilibriumResult,
-    equilibrium as equilibrium_for,
-    table1,
-)
-from repro.core.freeriding import FreeRidingParameters, table3  # noqa: F401
-from repro.core.metrics import efficiency, fairness  # noqa: F401
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "bootstrapping",
-    "classification",
-    "equilibrium",
-    "fluid",
-    "freeriding",
-    "metrics",
-    "piece_availability",
-    "reputation_model",
-    "tradeoff",
-    "BootstrapParameters",
-    "bootstrap_probability",
-    "expected_bootstrap_time",
-    "table2",
-    "EquilibriumParameters",
-    "EquilibriumResult",
-    "equilibrium_for",
-    "table1",
-    "FreeRidingParameters",
-    "table3",
-    "efficiency",
-    "fairness",
-]
+#: Every package-level name and where it lives; each is imported on
+#: first access (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "bootstrapping": "repro.core.bootstrapping",
+    "classification": "repro.core.classification",
+    "equilibrium": "repro.core.equilibrium",
+    "fluid": "repro.core.fluid",
+    "freeriding": "repro.core.freeriding",
+    "metrics": "repro.core.metrics",
+    "piece_availability": "repro.core.piece_availability",
+    "reputation_model": "repro.core.reputation_model",
+    "tradeoff": "repro.core.tradeoff",
+    "BootstrapParameters": "repro.core.bootstrapping:BootstrapParameters",
+    "bootstrap_probability": "repro.core.bootstrapping:bootstrap_probability",
+    "expected_bootstrap_time": "repro.core.bootstrapping:expected_bootstrap_time",
+    "table2": "repro.core.bootstrapping:table2",
+    "EquilibriumParameters": "repro.core.equilibrium:EquilibriumParameters",
+    "EquilibriumResult": "repro.core.equilibrium:EquilibriumResult",
+    "equilibrium_for": "repro.core.equilibrium:equilibrium",
+    "table1": "repro.core.equilibrium:table1",
+    "FreeRidingParameters": "repro.core.freeriding:FreeRidingParameters",
+    "table3": "repro.core.freeriding:table3",
+    "efficiency": "repro.core.metrics:efficiency",
+    "fairness": "repro.core.metrics:fairness",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)

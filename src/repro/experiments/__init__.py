@@ -9,46 +9,31 @@
   report.
 """
 
-from repro.experiments import (  # noqa: F401
-    ablations,
-    export,
-    figures,
-    hybrid_validation,
-    replicates,
-    report,
-    scenarios,
-    tables,
-    trace_analysis,
-    validation,
-)
-from repro.experiments.figures import figure4, figure5, figure6  # noqa: F401
-from repro.experiments.report import full_report  # noqa: F401
-from repro.experiments.scenarios import (  # noqa: F401
-    default_scale,
-    paper_scale,
-    run_all_algorithms,
-    smoke_scale,
-    with_freeriders,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "ablations",
-    "export",
-    "figures",
-    "hybrid_validation",
-    "replicates",
-    "report",
-    "scenarios",
-    "tables",
-    "trace_analysis",
-    "validation",
-    "figure4",
-    "figure5",
-    "figure6",
-    "full_report",
-    "default_scale",
-    "paper_scale",
-    "run_all_algorithms",
-    "smoke_scale",
-    "with_freeriders",
-]
+#: Every package-level name and where it lives; each is imported on
+#: first access (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "ablations": "repro.experiments.ablations",
+    "export": "repro.experiments.export",
+    "figures": "repro.experiments.figures",
+    "hybrid_validation": "repro.experiments.hybrid_validation",
+    "replicates": "repro.experiments.replicates",
+    "report": "repro.experiments.report",
+    "scenarios": "repro.experiments.scenarios",
+    "tables": "repro.experiments.tables",
+    "trace_analysis": "repro.experiments.trace_analysis",
+    "validation": "repro.experiments.validation",
+    "figure4": "repro.experiments.figures:figure4",
+    "figure5": "repro.experiments.figures:figure5",
+    "figure6": "repro.experiments.figures:figure6",
+    "full_report": "repro.experiments.report:full_report",
+    "default_scale": "repro.experiments.scenarios:default_scale",
+    "paper_scale": "repro.experiments.scenarios:paper_scale",
+    "run_all_algorithms": "repro.experiments.scenarios:run_all_algorithms",
+    "smoke_scale": "repro.experiments.scenarios:smoke_scale",
+    "with_freeriders": "repro.experiments.scenarios:with_freeriders",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)

@@ -193,8 +193,8 @@ class TaskTelemetry:
     a worker picked it up. ``result_bytes`` is the pickled size of the
     returned value as measured in the worker — the cost of shipping
     the result (metrics plus any observability payload riding on it)
-    back over the pipe; ``None`` for failed attempts or when the value
-    could not be sized.
+    back over the pipe; ``None`` for failed attempts (a value that does
+    not pickle fails its attempt).
 
     ``attempts`` counts every try the task consumed, and ``last_error``
     keeps the most recent failure reason — together they make a
@@ -324,17 +324,14 @@ def _worker_main(conn) -> None:
         except Exception:
             break
         start = time.perf_counter()
+        blob = None
         try:
             value = fn(*args)
             elapsed = time.perf_counter() - start
-            try:
-                # Sized here, where the object lives: the parent only
-                # ever sees the unpickled value. One extra pickling of
-                # the (small) result, not of the task's working set.
-                result_bytes = len(pickle.dumps(value))
-            except Exception:
-                result_bytes = None  # conn.send will surface the error
-            payload = ("ok", value, elapsed, result_bytes)
+            # Pickled once, here: the length is the result's size, and
+            # the bytes follow the "ok" header as a message of their own.
+            blob = pickle.dumps(value)
+            payload = ("ok", len(blob), elapsed)
         except BaseException as exc:  # noqa: BLE001 - isolation boundary
             # Ship the full child traceback: when the parent surfaces
             # this failure (or trips the respawn circuit breaker) the
@@ -345,14 +342,10 @@ def _worker_main(conn) -> None:
                        time.perf_counter() - start)
         try:
             conn.send(payload)
-        except Exception as exc:  # unpicklable result, broken pipe, ...
-            try:
-                conn.send(("error",
-                           f"worker could not return result: "
-                           f"{type(exc).__name__}: {exc}",
-                           time.perf_counter() - start))
-            except Exception:
-                break
+            if blob is not None:
+                conn.send_bytes(blob)
+        except Exception:  # broken pipe: the parent went away
+            break
     try:
         conn.close()
     except Exception:  # pragma: no cover
@@ -433,7 +426,19 @@ class _Engine:
     def _reap(self, worker: _Worker, *, graceful: bool) -> None:
         """Stop a worker for good: sentinel or terminate, then
         ``join(grace)``, then ``kill()`` — nothing escapes."""
-        self.workers.pop(worker.wid, None)
+        self._stop(worker, graceful=graceful)
+        self._join(worker)
+
+    def _reap_all(self, *, graceful: bool) -> None:
+        """:meth:`_reap` every worker, stopping them all before joining
+        any, so their shutdowns overlap."""
+        workers = list(self.workers.values())
+        for worker in workers:
+            self._stop(worker, graceful=graceful)
+        for worker in workers:
+            self._join(worker)
+
+    def _stop(self, worker: _Worker, *, graceful: bool) -> None:
         if graceful:
             try:
                 worker.conn.send(None)
@@ -444,6 +449,10 @@ class _Engine:
                 worker.proc.terminate()
             except Exception:  # pragma: no cover
                 pass
+
+    def _join(self, worker: _Worker) -> None:
+        # Forgotten only once joined: an interrupt before that leaves
+        # the worker for the caller's terminate-and-reap path.
         worker.proc.join(_JOIN_GRACE_S)
         if worker.proc.is_alive():
             try:
@@ -455,6 +464,7 @@ class _Engine:
             worker.conn.close()
         except Exception:  # pragma: no cover
             pass
+        self.workers.pop(worker.wid, None)
 
     # -- task flow -------------------------------------------------------
 
@@ -517,9 +527,8 @@ class _Engine:
         worker.tasks_done += 1
         self.cold_deaths = 0  # a worker is completing tasks: pool is healthy
         self.stats.tasks_per_worker[worker.wid] = worker.tasks_done
+        # ("ok", result bytes, wall_s, value) or ("error", text, wall_s)
         status, payload, wall_s = message[:3]
-        # Error messages stay 3-tuples; only "ok" carries a sized result.
-        result_bytes = message[3] if len(message) > 3 else None
         self.stats.busy_s += wall_s
         if running is None:  # pragma: no cover - protocol violation
             return
@@ -527,11 +536,11 @@ class _Engine:
         if status == "ok":
             spec = self.specs[running.index]
             self._finalize(running.index, TaskResult(
-                key=spec.key, status="ok", value=payload, error=None,
+                key=spec.key, status="ok", value=message[3], error=None,
                 attempts=running.attempt,
                 telemetry=TaskTelemetry(
                     worker=worker.wid, wall_s=wall_s,
-                    queue_wait_s=queue_wait, result_bytes=result_bytes,
+                    queue_wait_s=queue_wait, result_bytes=payload,
                     attempts=running.attempt,
                     last_error=self.last_error.get(running.index))))
         else:
@@ -636,16 +645,16 @@ class _Engine:
                             continue  # already reaped this iteration
                         try:
                             message = worker.conn.recv()
+                            if message[0] == "ok":  # the value follows
+                                message += (worker.conn.recv(),)
                         except (EOFError, OSError):
                             self._handle_worker_death(worker)
                             continue
                         self._handle_message(worker, message)
                 self._enforce_deadlines()
-            for worker in list(self.workers.values()):
-                self._reap(worker, graceful=True)
+            self._reap_all(graceful=True)
         except BaseException:
-            for worker in list(self.workers.values()):
-                self._reap(worker, graceful=False)
+            self._reap_all(graceful=False)
             raise
         finally:
             self.stats.wall_s = self.clock() - start

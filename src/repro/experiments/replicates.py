@@ -54,7 +54,7 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.executor import TaskResult, TaskSpec, run_tasks
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import SimulationMetrics
-from repro.sim.runner import run_simulation
+from repro.sim.runner import import_engines, run_simulation
 
 __all__ = ["MetricSummary", "ReplicateResult", "run_replicates",
            "ReplicateOutcome", "SweepResult", "run_resilient_sweep",
@@ -579,6 +579,7 @@ def run_resilient_sweep(config: SimulationConfig,
     specs = [TaskSpec(key=seed, fn=task, args=_args_for(seed),
                       max_attempts=max_attempts)
              for seed in todo]
+    import_engines()  # before the workers fork, not in each of them
     report = run_tasks(specs, jobs=jobs, timeout=timeout,
                        on_result=_on_result, start_method=start_method)
     sweep_telemetry = report.stats.as_dict()

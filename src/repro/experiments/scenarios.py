@@ -38,7 +38,8 @@ from repro.sim.config import (
     SimulationConfig,
     targeted_attack_for,
 )
-from repro.sim.runner import SimulationResult, run_simulation
+from repro.sim.runner import (SimulationResult, import_engines,
+                              run_simulation)
 
 __all__ = [
     "PRESET_BACKEND",
@@ -157,6 +158,7 @@ def run_all_algorithms(base: SimulationConfig,
     specs = [TaskSpec(key=algorithm, fn=run_simulation, args=(config,),
                       max_attempts=2)
              for algorithm, config in configs.items()]
+    import_engines()  # before the workers fork, not in each of them
     report = run_tasks(specs, jobs=min(processes, len(configs)))
     if telemetry is not None:
         telemetry.update(report.stats.as_dict())

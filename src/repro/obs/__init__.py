@@ -22,25 +22,24 @@ and schema live in docs/OBSERVABILITY.md; the wiring into the
 simulation is :class:`~repro.obs.runtime.ObsRuntime`.
 """
 
-from repro.obs.config import ObsConfig, TRACE_CATEGORIES
-from repro.obs.exporters import (sweep_series_to_chrome_trace,
-                                 to_chrome_trace, to_jsonl)
-from repro.obs.runtime import ObsRuntime
-from repro.obs.samplers import SeriesStore, entropy, percentile
-from repro.obs.spans import SpanTracer
-from repro.obs.tracer import EventTracer, TraceEvent
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "ObsConfig",
-    "TRACE_CATEGORIES",
-    "EventTracer",
-    "TraceEvent",
-    "SeriesStore",
-    "SpanTracer",
-    "ObsRuntime",
-    "percentile",
-    "entropy",
-    "sweep_series_to_chrome_trace",
-    "to_chrome_trace",
-    "to_jsonl",
-]
+#: Every package-level name and where it lives; each is imported on
+#: first access (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "ObsConfig": "repro.obs.config:ObsConfig",
+    "TRACE_CATEGORIES": "repro.obs.config:TRACE_CATEGORIES",
+    "EventTracer": "repro.obs.tracer:EventTracer",
+    "TraceEvent": "repro.obs.tracer:TraceEvent",
+    "SeriesStore": "repro.obs.samplers:SeriesStore",
+    "SpanTracer": "repro.obs.spans:SpanTracer",
+    "ObsRuntime": "repro.obs.runtime:ObsRuntime",
+    "percentile": "repro.obs.samplers:percentile",
+    "entropy": "repro.obs.samplers:entropy",
+    "sweep_series_to_chrome_trace": "repro.obs.exporters:sweep_series_to_chrome_trace",
+    "to_chrome_trace": "repro.obs.exporters:to_chrome_trace",
+    "to_jsonl": "repro.obs.exporters:to_jsonl",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)

@@ -16,60 +16,39 @@ Quick start::
     print(result.metrics.mean_completion_time())
 """
 
-from repro.sim.arrivals import flash_crowd_arrivals, poisson_arrivals  # noqa: F401
-from repro.sim.config import (  # noqa: F401
-    AttackConfig,
-    CapacityClass,
-    ObsConfig,
-    SimulationConfig,
-    StrategyParameters,
-    targeted_attack_for,
-)
-from repro.sim.engine import EventEngine  # noqa: F401
-from repro.sim.faults import FaultConfig, FaultModel  # noqa: F401
-from repro.sim.guards import GuardConfig, InvariantViolation  # noqa: F401
-from repro.sim.hybrid import (  # noqa: F401
-    CouplingRow,
-    HybridMetrics,
-    ShardPlan,
-    hybrid_digest,
-    reference_config,
-    run_hybrid_simulation,
-    shard_plan,
-)
-from repro.sim.metrics import SimulationMetrics, degradation_rows  # noqa: F401
-from repro.sim.runner import Simulation, SimulationResult, run_simulation  # noqa: F401
-from repro.sim.vector import (  # noqa: F401
-    VectorFastSimulation,
-    VectorSimulation,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "AttackConfig",
-    "CapacityClass",
-    "CouplingRow",
-    "EventEngine",
-    "FaultConfig",
-    "FaultModel",
-    "GuardConfig",
-    "HybridMetrics",
-    "InvariantViolation",
-    "ObsConfig",
-    "ShardPlan",
-    "Simulation",
-    "SimulationConfig",
-    "SimulationMetrics",
-    "SimulationResult",
-    "StrategyParameters",
-    "VectorFastSimulation",
-    "VectorSimulation",
-    "degradation_rows",
-    "flash_crowd_arrivals",
-    "hybrid_digest",
-    "poisson_arrivals",
-    "reference_config",
-    "run_hybrid_simulation",
-    "run_simulation",
-    "shard_plan",
-    "targeted_attack_for",
-]
+#: Every package-level name and where it lives; each is imported on
+#: first access (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "AttackConfig": "repro.sim.config:AttackConfig",
+    "CapacityClass": "repro.sim.config:CapacityClass",
+    "CouplingRow": "repro.sim.hybrid:CouplingRow",
+    "EventEngine": "repro.sim.engine:EventEngine",
+    "FaultConfig": "repro.sim.faults:FaultConfig",
+    "FaultModel": "repro.sim.faults:FaultModel",
+    "GuardConfig": "repro.sim.guards:GuardConfig",
+    "HybridMetrics": "repro.sim.hybrid:HybridMetrics",
+    "InvariantViolation": "repro.sim.guards:InvariantViolation",
+    "ObsConfig": "repro.sim.config:ObsConfig",
+    "ShardPlan": "repro.sim.hybrid:ShardPlan",
+    "Simulation": "repro.sim.runner:Simulation",
+    "SimulationConfig": "repro.sim.config:SimulationConfig",
+    "SimulationMetrics": "repro.sim.metrics:SimulationMetrics",
+    "SimulationResult": "repro.sim.runner:SimulationResult",
+    "StrategyParameters": "repro.sim.config:StrategyParameters",
+    "VectorFastSimulation": "repro.sim.vector:VectorFastSimulation",
+    "VectorSimulation": "repro.sim.vector:VectorSimulation",
+    "degradation_rows": "repro.sim.metrics:degradation_rows",
+    "flash_crowd_arrivals": "repro.sim.arrivals:flash_crowd_arrivals",
+    "hybrid_digest": "repro.sim.hybrid:hybrid_digest",
+    "poisson_arrivals": "repro.sim.arrivals:poisson_arrivals",
+    "reference_config": "repro.sim.hybrid:reference_config",
+    "run_hybrid_simulation": "repro.sim.hybrid:run_hybrid_simulation",
+    "run_simulation": "repro.sim.runner:run_simulation",
+    "shard_plan": "repro.sim.hybrid:shard_plan",
+    "targeted_attack_for": "repro.sim.config:targeted_attack_for",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)

@@ -435,19 +435,13 @@ class SimulationConfig:
         return replace(self, guards=replace(self.guards, mode=mode,
                                             **overrides))
 
-    def with_obs(self, trace: bool = True, sample_every: int = 1,
-                 profile: bool = False,
-                 **overrides: Any) -> "SimulationConfig":
-        """Variant with the observability layer enabled.
-
-        Defaults switch on full-sampling tracing plus every-round
-        series sampling; keyword overrides reach the underlying
-        :class:`~repro.obs.config.ObsConfig`, e.g.
-        ``cfg.with_obs(profile=True, trace_buffer=1 << 20)``.
+    def with_obs(self, **fields: Any) -> "SimulationConfig":
+        """Variant with the given :class:`~repro.obs.config.ObsConfig`
+        fields set and every other one kept, e.g.
+        ``cfg.with_obs(profile=True)`` (spans only, which every engine
+        runs) or ``cfg.with_obs(trace=True, sample_every=1)``.
         """
-        return replace(self, obs=replace(self.obs, trace=trace,
-                                         sample_every=sample_every,
-                                         profile=profile, **overrides))
+        return replace(self, obs=replace(self.obs, **fields))
 
     # ------------------------------------------------------------------
     # Serialisation (crash bundles / replay)

@@ -313,9 +313,11 @@ def _run_shards(config: SimulationConfig, plan: ShardPlan, *,
         return [_shard_task(config, i) for i in range(plan.n_subswarms)]
 
     from repro.experiments.executor import TaskSpec, run_tasks
+    from repro.sim.runner import import_engines
 
     specs = [TaskSpec(key=f"shard-{i}", fn=_shard_task, args=(config, i))
              for i in range(plan.n_subswarms)]
+    import_engines()  # before the workers fork, not in each of them
     report = run_tasks(specs, jobs=min(jobs, plan.n_subswarms),
                        timeout=timeout, start_method=start_method)
     metrics: List[SimulationMetrics] = []
@@ -445,8 +447,16 @@ def _pool_peers(shards: Sequence[SimulationMetrics]) -> List[PeerSummary]:
                 raise SimulationError(
                     "shard peer id exceeds SHARD_ID_STRIDE; raise the "
                     "stride before pooling")
-            pooled.append(replace(peer, peer_id=peer.peer_id + offset,
-                                  lineage_id=peer.lineage_id + offset))
+            # Built directly: ``dataclasses.replace`` re-reads the
+            # field list on every call.
+            pooled.append(PeerSummary(
+                peer_id=peer.peer_id + offset,
+                lineage_id=peer.lineage_id + offset,
+                capacity=peer.capacity, is_freerider=peer.is_freerider,
+                arrival_time=peer.arrival_time,
+                bootstrap_time=peer.bootstrap_time,
+                completion_time=peer.completion_time,
+                uploaded=peer.uploaded, downloaded=peer.downloaded))
     return pooled
 
 

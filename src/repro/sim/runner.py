@@ -953,6 +953,17 @@ class Simulation:
         return SimulationResult(config=self.config, metrics=metrics)
 
 
+def import_engines() -> None:
+    """Import every module an engine imports on first use: the strategy
+    and attack packages, and the array engines with their kernels.
+
+    Callers that fork workers call this first, so each worker inherits
+    these modules instead of importing them during its first task.
+    """
+    import repro.algorithms.vector_kernels  # noqa: F401 - and sim.vector
+    import repro.attacks  # noqa: F401
+
+
 def build_engine(config: SimulationConfig):
     """The engine ``config.backend`` names, built but not yet run:
     this object engine, the digest-identical struct-of-arrays

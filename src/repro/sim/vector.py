@@ -142,6 +142,13 @@ class VectorSimulation:
     #: ``SimulationMetrics.digest_lineage``); the fast engine overrides.
     digest_lineage = "parity-v1"
 
+    #: Whether every slot's kernel draws from its own named stream
+    #: (``strategy:<id>`` / ``seeder:<i>``). The fast lineage's kernels
+    #: draw from its shared sampler instead, so it creates a slot stream
+    #: only where a kernel reads one: the free-riders'. Streams are
+    #: seeded by name, so creating fewer moves no draw.
+    _slot_streams = True
+
     def __init__(self, config: SimulationConfig) -> None:
         from repro.algorithms.vector_kernels import (
             DEFICIT_ALGORITHMS, RECEIVED_ALGORITHMS, RECEIPT_ALGORITHMS)
@@ -246,7 +253,9 @@ class VectorSimulation:
         self.colluders: List[Set[int]] = [set() for _ in range(n_slots)]
         self.ids: List[int] = [0] * n_slots         # current peer id
         self.lineage: List[int] = [0] * n_slots
-        self.srng: List[random.Random] = [None] * n_slots  # type: ignore
+        #: Per-slot strategy stream; ``None`` where no kernel reads it
+        #: (see ``_slot_streams``).
+        self.srng: List[Optional[random.Random]] = [None] * n_slots
         self.kern: List[object] = [None] * n_slots
         #: Dormancy (see ``_on_round``): 0 while a peer takes its turns;
         #: the round of its last turn, ``r``, once its kernel reported
@@ -268,8 +277,9 @@ class VectorSimulation:
         #: backing store is an ``array.array`` with the numpy matrix as
         #: a shared-memory view: per-send increments go through the
         #: array (cheaper than numpy scalar indexing) while kernel
-        #: gathers stay vectorized.
-        self._Rf = (array("i", bytes(4 * mk * mk))
+        #: gathers stay vectorized. Allocated by repetition so the
+        #: O(n^2) zeroes are written once, not built and then copied.
+        self._Rf = (array("i", [0]) * (mk * mk)
                     if self._use_rmat else None)
         self.R = (np.frombuffer(self._Rf, dtype=np.int32).reshape(mk, mk)
                   if self._use_rmat else None)
@@ -284,7 +294,7 @@ class VectorSimulation:
         #: ledger survives whitewashing while *others'* balances
         #: toward its old identity are orphaned — ``_reset_identity``
         #: zeroes the whitewashed column to reproduce that.
-        self._Df = (array("i", bytes(4 * mk * mk))
+        self._Df = (array("i", [0]) * (mk * mk)
                     if self._need_dev else None)
         self.D = (np.frombuffer(self._Df, dtype=np.int32).reshape(mk, mk)
                   if self._need_dev else None)
@@ -368,7 +378,8 @@ class VectorSimulation:
             self.held[s] = self._full_mask
             self.cnt[s] = config.n_pieces
             self.budgets[s] = UploadBudget(config.seeder_capacity)
-            self.srng[s] = self.streams.stream(f"seeder:{index}")
+            if self._slot_streams:
+                self.srng[s] = self.streams.stream(f"seeder:{index}")
             self.kern[s] = run_spray
             self._add_member(s)
 
@@ -394,7 +405,6 @@ class VectorSimulation:
             self.caps[s] = capacities[index]
             self.arrival[s] = arrivals[index]
             self.budgets[s] = UploadBudget(capacities[index])
-            self.srng[s] = self.streams.stream(f"strategy:{pid}")
             if index in freerider_indices:
                 self.free[s] = True
                 self.largev[s] = config.attack.large_view
@@ -403,6 +413,8 @@ class VectorSimulation:
                 self.kern[s] = run_freerider
             else:
                 self.kern[s] = kernel
+            if self._slot_streams or self.free[s]:
+                self.srng[s] = self.streams.stream(f"strategy:{pid}")
         self._sync_coalition()
         #: Lineage id -> slot: lineages are assigned once per slot and
         #: never reassigned, so this map is immutable after population.
@@ -1560,6 +1572,7 @@ class VectorFastSimulation(VectorSimulation):
     """
 
     digest_lineage = "fast-v1"
+    _slot_streams = False
 
     def __init__(self, config: SimulationConfig) -> None:
         self._fs = _FastSampler(config.seed)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import select
 import signal
 import subprocess
@@ -60,6 +61,10 @@ def sleep_if_two(x):
 
 def boom(x):
     raise ValueError(f"bad {x}")
+
+
+def unpicklable(x):
+    return lambda: x
 
 
 #: Set by a test after import; a forked worker sees the parent's value,
@@ -357,6 +362,21 @@ class TestTelemetry:
         assert ok.telemetry.result_bytes is not None
         assert ok.telemetry.result_bytes > 0
         assert failed.telemetry.result_bytes is None
+
+    def test_result_bytes_is_the_shipped_pickle(self):
+        value = {"peers": list(range(100))}
+        report = run_tasks([TaskSpec(key=1, fn=dict, args=(value,))], jobs=1)
+        assert report.results[0].value == value
+        assert report.results[0].telemetry.result_bytes == len(
+            pickle.dumps(value))
+
+    def test_unpicklable_result_fails_attempt_and_worker_serves_on(self):
+        report = run_tasks([TaskSpec(key=1, fn=unpicklable, args=(3,)),
+                            TaskSpec(key=2, fn=square, args=(4,))], jobs=1)
+        failed, ok = report.results
+        assert not failed.ok and "pickle" in failed.error.lower()
+        assert ok.value == 16
+        assert report.stats.workers_spawned == 1
 
 
 def exit_always(x):

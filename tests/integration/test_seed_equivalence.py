@@ -31,7 +31,7 @@ from repro.sim.config import (AttackConfig, SimulationConfig,
                               targeted_attack_for)
 from repro.sim.faults import FaultConfig
 from repro.sim.metrics import metrics_digest
-from repro.sim.runner import run_simulation
+from repro.sim.runner import build_engine, run_simulation
 from tests.sim.test_vector_backend import ALL_FAULTS, large_view_config
 
 #: Captured from the pre-rewrite implementation (sorted tie-break
@@ -374,3 +374,13 @@ class TestFastLineagePinnedDigests:
         assert metrics_digest(metrics) == FAST_PINNED_DIGESTS[name]
         if name in FAST_PINS_TO_CAP:
             assert metrics.rounds_run == config.max_rounds
+
+    @pytest.mark.parametrize("name", list(FAST_PINNED_DIGESTS))
+    def test_only_freerider_slots_hold_a_stream(self, name):
+        """The fast kernels draw from the engine's shared sampler; only
+        the free-rider kernel reads a slot's own stream. Streams are
+        seeded by name, so creating only those moves no draw."""
+        sim = build_engine(fast_pin_config(name))
+        assert [s for s in range(sim.n_slots)
+                if (sim.srng[s] is not None) != sim.free[s]] == []
+        assert metrics_digest(sim.run().metrics) == FAST_PINNED_DIGESTS[name]

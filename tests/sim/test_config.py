@@ -136,6 +136,21 @@ class TestSimulationConfig:
     def test_with_seed(self):
         assert SimulationConfig(Algorithm.TCHAIN).with_seed(9).seed == 9
 
+    @pytest.mark.parametrize("backend", ["vector", "vector-fast"])
+    def test_with_obs_profile_alone_runs_on_array_engines(self, backend):
+        config = SimulationConfig(Algorithm.TCHAIN).with_backend(
+            backend).with_obs(profile=True)
+        assert config.obs.profile
+        assert not config.obs.trace
+        assert config.obs.sample_every == 0
+
+    def test_with_obs_keeps_fields_it_is_not_given(self):
+        traced = SimulationConfig(Algorithm.TCHAIN).with_obs(
+            trace=True, sample_every=5)
+        profiled = traced.with_obs(profile=True)
+        assert (profiled.obs.trace, profiled.obs.sample_every,
+                profiled.obs.profile) == (True, 5, True)
+
 
 class TestCrossFieldValidation:
     def test_zero_capacity_seeder_rejected(self):

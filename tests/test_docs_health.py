@@ -109,6 +109,24 @@ class TestNegativeCases:
         assert check_docs.check_doctests(REPO_ROOT / "README.md",
                                          markdown) == []
 
+    def test_bad_import_in_plain_block_detected(self):
+        # A plain (non-doctest) block, a multi-line import with an
+        # alias, a submodule, and one name the package does not have.
+        markdown = ("```python\nfrom repro.sim import (SimulationConfig,\n"
+                    "    run_simulation as run, no_such_name)\n"
+                    "from repro.core import fluid\n```\n")
+        problems = check_docs.check_imports(REPO_ROOT / "README.md",
+                                            markdown)
+        assert problems == ["README.md: repro.sim has no no_such_name "
+                            "to import"]
+
+    def test_import_of_missing_module_detected(self):
+        markdown = "```python\n>>> from repro.no_such import thing\n```\n"
+        problems = check_docs.check_imports(REPO_ROOT / "README.md",
+                                            markdown)
+        assert len(problems) == 1
+        assert "from repro.no_such import" in problems[0]
+
     def test_unknown_cli_flag_detected(self):
         # The made-up flag sits on a continuation line; --jobs is real.
         markdown = ("```console\n$ python -m repro sweep --jobs 2 \\\n"

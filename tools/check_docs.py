@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs health checker: do the documents still match the repo?
 
-Four mechanical checks over the curated markdown set (README + the
+Five mechanical checks over the curated markdown set (README + the
 top-level reference documents + everything in ``docs/``):
 
 * **Links resolve.** Every relative markdown link must point at a file
@@ -15,6 +15,10 @@ top-level reference documents + everything in ``docs/``):
   use only ``--flags`` that ``repro.cli.build_parser()`` accepts for
   that subcommand, so a renamed or deleted flag cannot linger in an
   example.
+* **Imports resolve.** Every ``from repro... import name`` line in a
+  fenced ``python`` block, doctest or not, must name a module that
+  imports and a name it has (or a submodule of it), so the plain code
+  samples (README's quick start) cannot name what is gone.
 * **Named files exist.** Every path with a ``/`` that ends in
   ``.py``, ``.json``, ``.jsonl``, ``.md``, ``.yml`` or ``.toml``, in
   prose or code, must name a file relative to the repo root, ``src/``,
@@ -28,7 +32,7 @@ top-level reference documents + everything in ``docs/``):
 
 Run directly (``python tools/check_docs.py``) for a report and a
 non-zero exit on problems; ``tests/test_docs_health.py`` wraps the
-same functions so tier-1 CI enforces all four checks.
+same functions so tier-1 CI enforces all five checks.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from __future__ import annotations
 import argparse
 import ast
 import doctest
+import importlib
+import importlib.util
 import pathlib
 import re
 import sys
@@ -61,6 +67,13 @@ _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE_RE = re.compile(r"^```.*?^```[ \t]*$", re.M | re.S)
 _PYTHON_FENCE_RE = re.compile(r"^```python[^\n]*\n(.*?)^```[ \t]*$",
                               re.M | re.S)
+#: A ``from repro... import`` statement in a python block (prompts
+#: stripped): the module, then the names up to a closing parenthesis,
+#: or to the end of the line or a comment.
+_IMPORT_RE = re.compile(r"^[ \t]*from[ \t]+(repro(?:\.\w+)*)[ \t]+import[ \t]+"
+                        r"(\([^)]*\)|[^\n#]*)", re.M)
+#: A doctest prompt (``>>>`` or ``...``) at the start of a line.
+_PROMPT_RE = re.compile(r"^([ \t]*)(?:>>>|\.\.\.) ?", re.M)
 _HEADING_RE = re.compile(r"^#{1,6}[ \t]+(.+?)[ \t]*$", re.M)
 _EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
 #: ``repro <cmd>``, bare or after ``python -m`` (not a path or module
@@ -160,6 +173,31 @@ def check_doctests(path: pathlib.Path, markdown: str) -> List[str]:
     return problems
 
 
+def check_imports(path: pathlib.Path, markdown: str) -> List[str]:
+    """``from repro... import`` lines in fenced python blocks naming a
+    module that does not import, or a name that module lacks."""
+    problems: List[str] = []
+    rel = path.relative_to(REPO_ROOT)
+    for block in _PYTHON_FENCE_RE.findall(markdown):
+        code = _PROMPT_RE.sub(r"\1", block)
+        for module_name, names in _IMPORT_RE.findall(code):
+            try:
+                module = importlib.import_module(module_name)
+            except ImportError as exc:
+                problems.append(f"{rel}: from {module_name} import ...: "
+                                f"{exc}")
+                continue
+            for item in names.strip("()").split(","):
+                words = item.split()  # "name" or "name as alias"
+                if not words or hasattr(module, words[0]):
+                    continue
+                if importlib.util.find_spec(
+                        f"{module_name}.{words[0]}") is None:
+                    problems.append(f"{rel}: {module_name} has no "
+                                    f"{words[0]} to import")
+    return problems
+
+
 def cli_flags() -> Dict[str, Set[str]]:
     """Subcommand -> the option strings ``build_parser()`` accepts."""
     from repro.cli import build_parser
@@ -241,6 +279,7 @@ def run_checks(paths: Iterable[pathlib.Path] = ()) -> List[str]:
         markdown = path.read_text(encoding="utf-8")
         problems.extend(check_links(path, markdown))
         problems.extend(check_doctests(path, markdown))
+        problems.extend(check_imports(path, markdown))
         problems.extend(check_cli_flags(path, markdown, flags))
         problems.extend(check_paths(path, markdown))
     return problems
